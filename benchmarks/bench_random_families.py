@@ -1,18 +1,10 @@
-"""Random/Waxman families: generation + pipeline timing, and the
-batched-advertise A/B.
+"""Random/Waxman families: generation + pipeline timing.
 
-Two sections:
-
-* **families** — for a grid of (family, size, seed, roles) cells,
-  generate the seeded network (asserting byte-determinism against a
-  second generation), build its reference configs, and run the full
-  verification pipeline (local invariants → composition → global check
-  with per-role verdicts), timing each stage.
-
-* **batch** — the satellite perf change: full-converge a large mesh
-  (the worst case the per-entry ``evaluate`` calls used to dominate)
-  with batched route-map evaluation off and on, assert identical RIBs
-  and evaluation counts, and report the before/after wall clock.
+For a grid of (family, size, seed, roles) cells, generate the seeded
+network (asserting byte-determinism against a second generation), build
+its reference configs, and run the full verification pipeline (local
+invariants → composition → global check with per-role verdicts),
+timing each stage.
 
 Emits a JSON report; runnable standalone for the CI smoke job::
 
@@ -20,17 +12,11 @@ Emits a JSON report; runnable standalone for the CI smoke job::
 """
 
 import argparse
-import copy
 import json
 import sys
 import time
 from pathlib import Path
 
-from repro.batfish.bgpsim import (
-    BgpSimulation,
-    rib_snapshots,
-    set_batched_evaluation,
-)
 from repro.lightyear import (
     check_composition,
     check_global_no_transit,
@@ -57,8 +43,6 @@ SMALL_GRID = [
 ]
 
 SEEDS = 3
-BATCH_MESH_SIZE = 16
-SMALL_BATCH_MESH_SIZE = 8
 
 
 def measure_cell(family, size, roles, topo, seed):
@@ -106,50 +90,11 @@ def measure_cell(family, size, roles, topo, seed):
     }
 
 
-def measure_batch_ab(mesh_size, rounds=3):
-    """Batched vs per-entry policy evaluation on a full mesh converge.
-
-    Alternates the two modes and keeps each mode's best of ``rounds``
-    (the usual best-of timing discipline — the minimum is the least
-    noisy estimator of the true cost)."""
-    configs = build_reference_configs(
-        generate_network("mesh", mesh_size).topology
-    )
-
-    def converge():
-        sim = BgpSimulation(copy.deepcopy(configs))
-        started = time.perf_counter()
-        sim.run()
-        return sim, time.perf_counter() - started
-
-    per_entry_s = batched_s = float("inf")
-    per_entry_sim = batched_sim = None
-    try:
-        for _round in range(rounds):
-            set_batched_evaluation(False)
-            per_entry_sim, elapsed = converge()
-            per_entry_s = min(per_entry_s, elapsed)
-            set_batched_evaluation(True)
-            batched_sim, elapsed = converge()
-            batched_s = min(batched_s, elapsed)
-    finally:
-        set_batched_evaluation(True)
-    assert rib_snapshots(per_entry_sim) == rib_snapshots(batched_sim)
-    assert per_entry_sim.evaluations == batched_sim.evaluations
-    return {
-        "mesh_size": mesh_size,
-        "evaluations": batched_sim.evaluations,
-        "per_entry_s": round(per_entry_s, 4),
-        "batched_s": round(batched_s, 4),
-        "speedup": round(per_entry_s / batched_s, 2) if batched_s else None,
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--small", action="store_true",
-        help="tiny grid + small mesh (CI smoke)",
+        help="tiny grid (CI smoke)",
     )
     parser.add_argument("--json", default=None, help="write the report here")
     args = parser.parse_args(argv)
@@ -170,16 +115,7 @@ def main(argv=None):
                 f"pipeline={(row['reference_s'] + row['local_verify_s'] + row['global_check_s']) * 1000:7.1f}ms"
             )
 
-    mesh_size = SMALL_BATCH_MESH_SIZE if args.small else BATCH_MESH_SIZE
-    batch = measure_batch_ab(mesh_size)
-    print(
-        f"\nbatched advertise A/B on mesh-{mesh_size}: "
-        f"per-entry {batch['per_entry_s']:.3f}s -> batched "
-        f"{batch['batched_s']:.3f}s ({batch['speedup']}x, "
-        f"{batch['evaluations']} route evaluations, identical RIBs)"
-    )
-
-    report = {"families": rows, "batch_advertise": batch}
+    report = {"families": rows}
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.json}")

@@ -1,13 +1,14 @@
-"""Route datapath A/B: v1 (per-attribute copies) vs v2 (transactional
-builder + interned attributes).
+"""Route datapath: deterministic work counts of a full mesh converge.
 
 For each mesh size the bench full-converges the border-policy mesh —
-the workload whose route-attribute copying dominated the profile
-(~45% of a large-mesh converge under v1) — alternating
-``set_route_model("v1")`` / ``("v2")`` and keeping each model's best of
-``rounds``.  Every cell asserts identical RIB snapshots and identical
-evaluation counts before reporting a speedup, and a roled multi-homed
-waxman cell extends the equivalence check to role-assigned graphs.
+the workload whose route-attribute copying once dominated the profile —
+``rounds`` times, reporting the median wall-clock alongside the counts
+that do not depend on the machine: route-map/install ``evaluations``,
+``routes_built`` (builder freezes plus direct export constructions) and
+``routes_reused`` (no-change freezes plus per-session candidate reuses).
+Every cell first asserts that the converged RIBs equal the reference
+simulator's (:mod:`repro.fuzz.reference`), and a roled multi-homed
+waxman cell extends that check to role-assigned graphs.
 
 Emits a JSON report; runnable standalone for the CI smoke job::
 
@@ -15,24 +16,25 @@ Emits a JSON report; runnable standalone for the CI smoke job::
 
 The committed ``BENCH_route_model.json`` at the repo root records the
 full run.  ``--check`` turns the acceptance gates into the exit code:
-the largest-mesh speedup must stay >=1.5x and every row must report
+every row's ``evaluations`` and ``routes_built`` must stay at or under
+the recorded ceilings in :data:`CEILINGS` (a rise means the simulator
+does more work for the same network), and every row must report
 ``routes_reused > 0`` (a zero means the per-session candidate reuse
-path stopped counting — the exact regression this gate exists to catch).
+path stopped counting).
 """
 
 import argparse
 import copy
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
 
-from repro.batfish.bgpsim import BgpSimulation, rib_snapshots
-from repro.netmodel.route import (
-    reset_route_stats,
-    route_totals,
-    set_route_model,
-)
+from repro.batfish.bgpsim import BgpSimulation
+from repro.fuzz.oracle import canonical_ribs
+from repro.fuzz.reference import simulate
+from repro.netmodel.route import reset_route_stats, route_totals
 from repro.topology.families import generate_network
 from repro.topology.reference import build_reference_configs
 
@@ -42,6 +44,17 @@ ROLED_CELL = ("waxman", 10, "c2i2h2")
 SMALL_ROLED_CELL = ("waxman", 8, "c2i2h2")
 ROUNDS = 3
 
+# label -> (evaluations, routes_built) ceilings, recorded from the
+# builder datapath's full converge of each cell.
+CEILINGS = {
+    "mesh-8": (3164, 364),
+    "mesh-10": (8010, 735),
+    "mesh-14": (32032, 2093),
+    "mesh-18": (89454, 4539),
+    "waxman-8-c2i2h2": (565, 91),
+    "waxman-10-c2i2h2": (960, 178),
+}
+
 
 def _converge(configs):
     simulation = BgpSimulation(copy.deepcopy(configs))
@@ -50,43 +63,49 @@ def _converge(configs):
     return simulation, time.perf_counter() - started
 
 
-def measure_ab(configs, label, rounds=ROUNDS):
-    """Best-of-``rounds`` v1-vs-v2 timing on one set of configs.
-
-    Alternates the two models round by round (the usual best-of timing
-    discipline — the minimum is the least noisy estimator) and asserts
-    the equivalence contract on the final pair of simulations.
-    """
-    best = {"v1": float("inf"), "v2": float("inf")}
-    sims = {}
-    stats = {}
-    try:
-        for _round in range(rounds):
-            for model in ("v1", "v2"):
-                set_route_model(model)
-                reset_route_stats()  # per-model: a run's counts are deterministic
-                simulation, elapsed = _converge(configs)
-                best[model] = min(best[model], elapsed)
-                sims[model] = simulation
-                stats[model] = route_totals()
-    finally:
-        set_route_model("v2")
-    assert rib_snapshots(sims["v1"]) == rib_snapshots(sims["v2"]), (
-        f"{label}: v1 and v2 converged to different RIBs"
-    )
-    assert sims["v1"].evaluations == sims["v2"].evaluations, (
-        f"{label}: v1 and v2 disagree on evaluation counts"
+def measure(configs, label, rounds=ROUNDS):
+    """Median-of-``rounds`` converge time plus the deterministic counts
+    of one run, after checking the RIBs against the reference."""
+    times = []
+    for _round in range(rounds):
+        reset_route_stats()  # per run: a run's counts are deterministic
+        simulation, elapsed = _converge(configs)
+        times.append(elapsed)
+        totals = route_totals()
+    production = {name: simulation.rib(name) for name in configs}
+    assert canonical_ribs(production) == canonical_ribs(simulate(configs)), (
+        f"{label}: production and reference converged to different RIBs"
     )
     return {
         "label": label,
-        "evaluations": sims["v2"].evaluations,
-        "v1_s": round(best["v1"], 4),
-        "v2_s": round(best["v2"], 4),
-        "speedup": round(best["v1"] / best["v2"], 2) if best["v2"] else None,
-        "v1_routes_built": stats["v1"]["routes_built"],
-        "routes_built": stats["v2"]["routes_built"],
-        "routes_reused": stats["v2"]["routes_reused"],
+        "evaluations": simulation.evaluations,
+        "converge_s": round(statistics.median(times), 4),
+        "routes_built": totals["routes_built"],
+        "routes_reused": totals["routes_reused"],
     }
+
+
+def check(rows):
+    """Gate failures for the report rows (empty when all pass)."""
+    failures = []
+    for row in rows:
+        label = row["label"]
+        if label not in CEILINGS:
+            failures.append(f"{label}: no recorded ceiling")
+            continue
+        max_evaluations, max_built = CEILINGS[label]
+        if row["evaluations"] > max_evaluations:
+            failures.append(
+                f"{label}: evaluations {row['evaluations']} > "
+                f"{max_evaluations}"
+            )
+        if row["routes_built"] > max_built:
+            failures.append(
+                f"{label}: routes_built {row['routes_built']} > {max_built}"
+            )
+        if not row["routes_reused"]:
+            failures.append(f"{label}: routes_reused == 0")
+    return failures
 
 
 def main(argv=None):
@@ -99,8 +118,8 @@ def main(argv=None):
     parser.add_argument(
         "--check", action="store_true",
         help=(
-            "exit 1 unless largest_mesh_speedup >= 1.5 and every row "
-            "has routes_reused > 0 (the CI gate)"
+            "exit 1 unless every row stays within its evaluations and "
+            "routes_built ceilings and has routes_reused > 0 (the CI gate)"
         ),
     )
     args = parser.parse_args(argv)
@@ -111,54 +130,41 @@ def main(argv=None):
     rows = []
     for size in mesh_sizes:
         configs = build_reference_configs(generate_network("mesh", size).topology)
-        row = measure_ab(configs, f"mesh-{size}")
+        row = measure(configs, f"mesh-{size}")
         row["mesh_size"] = size
         rows.append(row)
         print(
-            f"mesh-{size}: v1 {row['v1_s']:.3f}s -> v2 {row['v2_s']:.3f}s "
-            f"({row['speedup']}x, {row['evaluations']} evaluations, "
-            f"identical RIBs; v2 builds {row['routes_built']} routes vs "
-            f"v1 {row['v1_routes_built']}, {row['routes_reused']} reused)"
+            f"mesh-{size}: {row['converge_s']:.3f}s, "
+            f"{row['evaluations']} evaluations, {row['routes_built']} "
+            f"routes built, {row['routes_reused']} reused (RIBs match "
+            f"the reference)"
         )
 
     family, size, roles = roled
     configs = build_reference_configs(
         generate_network(family, size, seed=1, roles=roles).topology
     )
-    roled_row = measure_ab(configs, f"{family}-{size}-{roles}")
+    roled_row = measure(configs, f"{family}-{size}-{roles}")
     print(
-        f"{roled_row['label']}: v1 {roled_row['v1_s']:.3f}s -> "
-        f"v2 {roled_row['v2_s']:.3f}s ({roled_row['speedup']}x, "
-        f"identical RIBs on the multi-homed roled graph)"
+        f"{roled_row['label']}: {roled_row['converge_s']:.3f}s, "
+        f"{roled_row['evaluations']} evaluations (RIBs match the "
+        f"reference on the multi-homed roled graph)"
     )
 
-    largest = rows[-1]
-    report = {
-        "meshes": rows,
-        "roled": roled_row,
-        "largest_mesh_speedup": largest["speedup"],
-    }
-    print(
-        f"\nlargest mesh (mesh-{largest['mesh_size']}): "
-        f"{largest['speedup']}x (target >=1.5x on the full run)"
-    )
+    report = {"meshes": rows, "roled": roled_row}
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.json}")
     if args.check:
-        failures = []
-        if largest["speedup"] is None or largest["speedup"] < 1.5:
-            failures.append(
-                f"largest_mesh_speedup {largest['speedup']} < 1.5"
-            )
-        for row in rows + [roled_row]:
-            if not row["routes_reused"]:
-                failures.append(f"{row['label']}: routes_reused == 0")
+        failures = check(rows + [roled_row])
         if failures:
             for failure in failures:
                 print(f"CHECK FAILED: {failure}", file=sys.stderr)
             return 1
-        print("checks passed: speedup >= 1.5x, routes_reused > 0 everywhere")
+        print(
+            "checks passed: evaluations and routes_built within their "
+            "ceilings, routes_reused > 0 everywhere"
+        )
     return 0
 
 

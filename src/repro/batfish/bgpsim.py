@@ -18,12 +18,10 @@ The simulator:
 Best-path selection is driven by a *decision cache*: every
 :class:`RibEntry` computes its C-ordered decision tuple once at
 construction (``RibEntry.decision_key``), so comparing two candidates
-is a single tuple ``<`` and ``_advertise`` picks each (router, prefix)
-winner with a ``min()`` over those tuples.  :func:`set_decision_cache`
-keeps the historical attribute-cascade comparator alive for A/B
-benchmarking; both orders are identical by construction (the
-decision-order property tests assert tuple-vs-cascade agreement over
-randomized entries).
+is a single tuple ``<``.  The independent reference simulator in
+:mod:`repro.fuzz.reference` spells the same order out as an attribute
+cascade; the decision-order property tests and the differential fuzzer
+hold the two to agreement.
 
 Communities always propagate (Junos default); the experiments' policies
 tag and filter within a single router, so Cisco's ``send-community``
@@ -43,9 +41,11 @@ survive verbatim, while the rest are invalidated and refilled by a
 prefix-filtered worklist that advertises only along dirty BGP sessions.
 A converged incremental state is always identical to a from-scratch
 run (the differential property tests assert this per topology family);
-if the worklist ever exceeds the full simulator's iteration budget the
-state falls back to a full convergence, so incrementality can change
-performance but never verdicts.
+if the worklist ever exceeds the full simulator's iteration budget, or
+finds that a neighbour switched away from a route a surviving entry was
+learned from (an implicit withdrawal it cannot apply), the state falls
+back to a full convergence, so incrementality can change performance
+but never verdicts.
 """
 
 from __future__ import annotations
@@ -57,12 +57,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..netmodel.device import RouterConfig
 from ..netmodel.ip import Ipv4Address, Prefix
-from ..netmodel.route import (
-    ROUTES_REUSED,
-    Protocol,
-    Route,
-    route_model_is_v2,
-)
+from ..netmodel.route import ROUTES_REUSED, Protocol, Route
 from ..obs import counter, span, timer
 from ..netmodel.routebuilder import RouteBuilder, export_route
 from ..netmodel.routing_policy import (
@@ -78,13 +73,9 @@ __all__ = [
     "ResimStats",
     "RibEntry",
     "SimulationState",
-    "batched_evaluation_enabled",
-    "decision_cache_enabled",
     "incremental_simulation_enabled",
     "reset_sim_stats",
     "rib_snapshots",
-    "set_batched_evaluation",
-    "set_decision_cache",
     "set_incremental_simulation",
     "sim_totals",
 ]
@@ -220,11 +211,16 @@ class BgpSimulation:
         # (sender, receiver) -> {prefix: (rib entry, candidate or None)}.
         # Configs never change within one simulation and routes are
         # immutable flyweights, so advertising the *same* RIB entry
-        # across a session is a pure function — the v2 datapath reuses
+        # across a session is a pure function — ``_advertise`` reuses
         # the computed candidate (None = denied) until the sender's
         # entry object is replaced, instead of re-running the export
         # pipeline every fixpoint round.
         self._advertised: Dict[Tuple[str, str], Dict[Prefix, Tuple]] = {}
+        # Stale-route tracking, armed only by run_worklist: True once a
+        # sender's advertisement replaced or withdrew the route a
+        # receiver holds from it without displacing that route (see
+        # _advertise).  None while a full run is converging.
+        self._stale: Optional[bool] = None
 
     # -- topology derivation ---------------------------------------------------
 
@@ -346,7 +342,8 @@ class BgpSimulation:
         were invalidated.  Propagates prefix-filtered advertisements
         until quiescent.  Returns the number of directed-session
         processings, or ``None`` if the worklist exceeded the full
-        simulator's budget (the caller then falls back to a full run).
+        simulator's budget or met a route the worklist cannot withdraw
+        (the caller then falls back to a full run).
         """
         directed: Dict[Tuple[str, str], BgpSession] = {}
         out_edges: Dict[str, List[Tuple[str, str]]] = {}
@@ -384,12 +381,17 @@ class BgpSimulation:
 
         budget = MAX_ITERATIONS * max(1, len(directed))
         processed = 0
+        self._stale = False
         while pending:
             processed += 1
             if processed > budget:
                 return None  # would not have converged; caller re-runs fully
             key, prefixes = pending.popitem(last=False)
             changed = self._advertise(directed[key], prefixes)
+            if self._stale:
+                # A neighbour switched away from a route the receiver
+                # still holds; only a full run recomputes that choice.
+                return None
             if changed:
                 for out in out_edges.get(key[1], ()):
                     enqueue(out, changed)
@@ -428,65 +430,21 @@ class BgpSimulation:
         assert sender_config.bgp is not None and receiver_config.bgp is not None
         export_map = self._neighbor_policy(sender_config, session.remote_ip, "export")
         import_map = self._neighbor_policy(receiver_config, session.local_ip, "import")
-        # Batched evaluation: bind each policy to its config once per
-        # session batch, so the per-entry loop below pays no repeated
-        # name resolution.  The toggle keeps the historical per-entry
-        # path alive for A/B benchmarking.  Under route model v2 the
-        # policies *apply to a shared builder* (no intermediate route);
-        # v1 keeps the PolicyResult-returning evaluators.
-        v2 = route_model_is_v2()
-        if v2:
-            if _BATCH_ENABLED:
-                export_find = (
-                    self._prepared_policy(sender_config, export_map).find_clause
-                    if export_map is not None
-                    else None
-                )
-                import_find = (
-                    self._prepared_policy(receiver_config, import_map).find_clause
-                    if import_map is not None
-                    else None
-                )
-            else:
-                export_find = (
-                    (lambda route: export_map.find_clause(route, sender_config))
-                    if export_map is not None
-                    else None
-                )
-                import_find = (
-                    (lambda route: import_map.find_clause(route, receiver_config))
-                    if import_map is not None
-                    else None
-                )
-        elif _BATCH_ENABLED:
-            export_eval = (
-                self._prepared_policy(sender_config, export_map).evaluate
-                if export_map is not None
-                else None
-            )
-            import_eval = (
-                self._prepared_policy(receiver_config, import_map).evaluate
-                if import_map is not None
-                else None
-            )
-        else:
-            export_eval = (
-                (lambda route: export_map.evaluate(route, sender_config))
-                if export_map is not None
-                else None
-            )
-            import_eval = (
-                (lambda route: import_map.evaluate(route, receiver_config))
-                if import_map is not None
-                else None
-            )
+        # Bind each policy to its config once per simulation, so the
+        # per-entry loop below pays no repeated name resolution.
+        export_find = (
+            self._prepared_policy(sender_config, export_map).find_clause
+            if export_map is not None
+            else None
+        )
+        import_find = (
+            self._prepared_policy(receiver_config, import_map).find_clause
+            if import_map is not None
+            else None
+        )
         sender_asn = sender_config.bgp.asn
         receiver_asn = receiver_config.bgp.asn
-        if v2:
-            session_cache = self._advertised.get((sender, receiver))
-            if session_cache is None:
-                session_cache = {}
-                self._advertised[(sender, receiver)] = session_cache
+        session_cache = self._advertised.setdefault((sender, receiver), {})
         changed: Set[Prefix] = set()
         if prefixes is None:
             entries = list(self._ribs[sender].values())
@@ -499,110 +457,85 @@ class BgpSimulation:
                 for prefix in sorted(prefixes, key=str)
                 if prefix in rib
             ]
-        if v2:
-            # The receiver's RIB and the decision-cache toggle are
-            # loop-invariant; with the cache on, the per-(router, prefix)
-            # winner is picked by a min() over decision tuples right
-            # here — no pairwise _install call per candidate.
-            receiver_rib = self._ribs[receiver]
-            batch = _DECISION_CACHE
-            # Loser pre-screen: when neither session policy can improve
-            # a route's decision attributes, the candidate's best
-            # possible decision key is computable from the sender's
-            # entry alone ((learned, -local_pref, len+1, med, sender,
-            # origin) — extra prepends only worsen it).  A candidate
-            # whose optimistic key does not beat the incumbent can never
-            # install, so the whole export pipeline is skipped for it.
-            screen = (
-                batch
-                and (export_map is None or self._decision_neutral(export_map))
-                and (import_map is None or self._decision_neutral(import_map))
-            )
-            for entry in entries:
-                if entry.learned_from == receiver:
-                    continue  # do not reflect a route back to its source
-                self.evaluations += 1
-                prefix = entry.route.prefix
-                cached = session_cache.get(prefix)
-                if cached is not None and cached[0] is entry:
-                    # Same sender entry as last round: the export
-                    # pipeline's output (candidate or denial) is reused
-                    # verbatim instead of being rebuilt.
-                    candidate = cached[1]
-                    ROUTES_REUSED.inc()
-                    if candidate is None:
-                        continue  # denied last time; entry unchanged
-                else:
-                    if screen:
-                        incumbent = receiver_rib.get(prefix)
-                        if incumbent is not None:
-                            route = entry.route
-                            optimistic = (
-                                True,
-                                -route.local_pref,
-                                len(route.as_path.asns) + 1,
-                                route.med,
-                                sender,
-                                entry.origin_router,
-                            )
-                            if not optimistic < incumbent.decision_key:
-                                continue  # cannot beat the incumbent
-                    candidate = self._export_candidate(
-                        entry,
-                        export_find,
-                        import_find,
-                        sender,
-                        sender_asn,
-                        receiver_asn,
-                        session.local_ip,
-                    )
-                    session_cache[prefix] = (entry, candidate)
-                    if candidate is None:
-                        continue
-                if batch:
-                    incumbent = receiver_rib.get(prefix)
-                    if incumbent is None or (
-                        incumbent is not candidate
-                        and candidate.decision_key < incumbent.decision_key
-                    ):
-                        receiver_rib[prefix] = candidate
-                        changed.add(prefix)
-                elif self._install(receiver, candidate):
-                    changed.add(prefix)
-            return changed
+        receiver_rib = self._ribs[receiver]
+        track_stale = self._stale is not None
+        # Loser pre-screen: when neither session policy can improve a
+        # route's decision attributes, the candidate's best possible
+        # decision key is computable from the sender's entry alone
+        # ((learned, -local_pref, len+1, med, sender, origin) — extra
+        # prepends only worsen it).  A candidate whose optimistic key
+        # does not beat the incumbent can never install, so the whole
+        # export pipeline is skipped for it.  The worklist still runs
+        # the pipeline when the incumbent came from this sender: that
+        # is how it notices the sender switched away from it.
+        screen = (
+            export_map is None or self._decision_neutral(export_map)
+        ) and (import_map is None or self._decision_neutral(import_map))
         for entry in entries:
             if entry.learned_from == receiver:
                 continue  # do not reflect a route back to its source
             self.evaluations += 1
-            advertised = entry.route
-            if export_eval is not None:
-                try:
-                    outcome = export_eval(advertised)
-                except PolicyEvaluationError:
-                    continue
-                if outcome.action is Action.DENY:
-                    continue
-                advertised = outcome.route
-            advertised = advertised.with_as_prepended(sender_asn)
-            advertised = advertised.with_next_hop(session.local_ip)
-            if advertised.as_path.contains(receiver_asn):
-                continue  # AS-loop prevention
-            if import_eval is not None:
-                try:
-                    outcome = import_eval(advertised)
-                except PolicyEvaluationError:
-                    continue
-                if outcome.action is Action.DENY:
-                    continue
-                advertised = outcome.route
-            candidate = RibEntry(
-                route=advertised,
-                learned_from=sender,
-                origin_router=entry.origin_router,
-                path=entry.path + (sender,),
-            )
-            if self._install(receiver, candidate):
-                changed.add(candidate.route.prefix)
+            prefix = entry.route.prefix
+            incumbent = receiver_rib.get(prefix)
+            cached = session_cache.get(prefix)
+            if cached is not None and cached[0] is entry:
+                # Same sender entry as last round: the export
+                # pipeline's output (candidate or denial) is reused
+                # verbatim instead of being rebuilt.
+                candidate = cached[1]
+                ROUTES_REUSED.inc()
+            else:
+                if (
+                    screen
+                    and incumbent is not None
+                    and not (track_stale and incumbent.learned_from == sender)
+                ):
+                    route = entry.route
+                    optimistic = (
+                        True,
+                        -route.local_pref,
+                        len(route.as_path.asns) + 1,
+                        route.med,
+                        sender,
+                        entry.origin_router,
+                    )
+                    if not optimistic < incumbent.decision_key:
+                        continue  # cannot beat the incumbent
+                candidate = self._export_candidate(
+                    entry,
+                    export_find,
+                    import_find,
+                    sender,
+                    sender_asn,
+                    receiver_asn,
+                    session.local_ip,
+                )
+                session_cache[prefix] = (entry, candidate)
+            if candidate is not None and (
+                incumbent is None
+                or (
+                    incumbent is not candidate
+                    and candidate.decision_key < incumbent.decision_key
+                )
+            ):
+                receiver_rib[prefix] = candidate
+                changed.add(prefix)
+            elif (
+                track_stale
+                and incumbent is not None
+                and incumbent.learned_from == sender
+                and (
+                    candidate is None
+                    or (
+                        incumbent is not candidate
+                        and not _same_entry(incumbent, candidate)
+                    )
+                )
+            ):
+                # The sender now advertises something else (or nothing)
+                # for a route the receiver still holds from it: an
+                # implicit withdrawal the worklist cannot apply.
+                self._stale = True
         return changed
 
     def _export_candidate(
@@ -615,7 +548,7 @@ class BgpSimulation:
         receiver_asn: int,
         local_ip: Ipv4Address,
     ) -> Optional[RibEntry]:
-        """One sender RIB entry through the v2 export pipeline.
+        """One sender RIB entry through the export pipeline.
 
         Matching runs against immutable state first (``find_clause``
         never mutates), so a builder is allocated only when a firing
@@ -724,16 +657,10 @@ class BgpSimulation:
 
     @staticmethod
     def _better(candidate: RibEntry, incumbent: RibEntry) -> bool:
-        """Standard BGP decision process (deterministic, *total*
-        tie-break).  With the decision cache on (the default) this is a
-        single tuple ``<`` over the keys computed at entry construction;
-        off, the historical attribute cascade — both end in the same
-        ``(learned_from, origin_router)`` tie-break, so the two paths
-        order every entry pair identically (the decision-order property
-        tests assert it)."""
-        if _DECISION_CACHE:
-            return candidate.decision_key < incumbent.decision_key
-        return _legacy_better(candidate, incumbent)
+        """Standard BGP decision process with a deterministic, *total*
+        tie-break: one tuple ``<`` over the keys computed at entry
+        construction."""
+        return candidate.decision_key < incumbent.decision_key
 
 
 def rib_snapshots(simulation: BgpSimulation) -> Dict[str, Dict[Prefix, Tuple]]:
@@ -749,68 +676,6 @@ def rib_snapshots(simulation: BgpSimulation) -> Dict[str, Dict[Prefix, Tuple]]:
         }
         for name in sorted(simulation._configs)
     }
-
-
-def _legacy_better(candidate: RibEntry, incumbent: RibEntry) -> bool:
-    """The pre-cache attribute cascade, kept for the A/B toggle and as
-    the oracle the decision-order property tests compare tuples against."""
-    candidate_local = candidate.learned_from is None
-    if candidate_local != (incumbent.learned_from is None):
-        return candidate_local  # locally originated wins
-    left, right = candidate.route, incumbent.route
-    if left.local_pref != right.local_pref:
-        return left.local_pref > right.local_pref
-    left_asns, right_asns = left.as_path.asns, right.as_path.asns
-    if left_asns is not right_asns and len(left_asns) != len(right_asns):
-        return len(left_asns) < len(right_asns)
-    if left.med != right.med:
-        return left.med < right.med
-    if candidate.learned_from != incumbent.learned_from:
-        return (candidate.learned_from or "") < (incumbent.learned_from or "")
-    if "legacy-tiebreak" in _PLANTED_BUGS:
-        # The historical ``"" < ""`` fall-through: a full tie keeps the
-        # incumbent, making the winner depend on arrival order.
-        return False
-    # Total tie-break: two equally-attributed entries from the same
-    # neighbor (or both locally originated, where learned_from is None
-    # on both sides) are ordered by originator, then by route content —
-    # equal-length AS paths through different routers must still order
-    # deterministically, never by arrival order.
-    if candidate.origin_router != incumbent.origin_router:
-        return candidate.origin_router < incumbent.origin_router
-    if left_asns != right_asns:
-        return left_asns < right_asns
-    return candidate.path < incumbent.path
-
-
-# -- planted regressions (fuzz-harness self-test) ------------------------------
-#
-# The differential fuzzer is only trustworthy if it can find bugs we
-# already understand.  These hidden flags re-introduce a known,
-# previously-shipped bug behind a switch the fuzzer's self-tests (and
-# the hidden ``repro fuzz --plant`` CLI option) can flip; production
-# code never sets them.
-
-_KNOWN_PLANTED_BUGS = frozenset({"legacy-tiebreak"})
-
-_PLANTED_BUGS: Set[str] = set()
-
-
-def _plant_bug(name: str, enabled: bool = True) -> None:
-    """Enable/disable a planted known bug.  ``legacy-tiebreak`` reverts
-    the legacy comparator's total ``(learned_from, origin_router)``
-    tie-break to the pre-fix arrival-order fall-through."""
-    if name not in _KNOWN_PLANTED_BUGS:
-        known = ", ".join(sorted(_KNOWN_PLANTED_BUGS))
-        raise ValueError(f"unknown planted bug {name!r} (known: {known})")
-    if enabled:
-        _PLANTED_BUGS.add(name)
-    else:
-        _PLANTED_BUGS.discard(name)
-
-
-def _planted_bugs() -> "frozenset[str]":
-    return frozenset(_PLANTED_BUGS)
 
 
 def _same_entry(left: RibEntry, right: RibEntry) -> bool:
@@ -845,55 +710,6 @@ def _entry_key(entry: RibEntry) -> Tuple:
         entry.learned_from,
         entry.origin_router,
     )
-
-
-# -- the decision cache --------------------------------------------------------
-
-_DECISION_CACHE = True
-
-
-def set_decision_cache(enabled: bool) -> None:
-    """Enable/disable decision-tuple best-path selection.
-
-    When on (the default), :meth:`BgpSimulation._better` is a single
-    ``<`` over the ``decision_key`` tuples cached on each
-    :class:`RibEntry`, and ``_advertise`` selects the per-(router,
-    prefix) winner with a ``min()`` over those tuples instead of a
-    pairwise ``_install`` call per candidate.  Off restores the
-    historical attribute-cascade comparator so benchmarks and the
-    differential suite can compare the two paths; both use the same
-    total ``(learned_from, origin_router)`` tie-break, so RIBs are
-    identical either way (mirrors :func:`set_batched_evaluation`)."""
-    global _DECISION_CACHE
-    _DECISION_CACHE = bool(enabled)
-
-
-def decision_cache_enabled() -> bool:
-    return _DECISION_CACHE
-
-
-# -- batched policy evaluation -------------------------------------------------
-
-_BATCH_ENABLED = True
-
-
-def set_batched_evaluation(enabled: bool) -> None:
-    """Enable/disable per-session batched route-map evaluation.
-
-    When on (the default), :meth:`BgpSimulation._advertise` binds the
-    session's export and import policies to their configs once per
-    advertisement batch (see
-    :meth:`repro.netmodel.routing_policy.RouteMap.prepare`) instead of
-    re-resolving named lists on every RIB entry.  Off restores the
-    historical per-entry ``evaluate`` calls so benchmarks can compare
-    the two paths; results are identical either way (the batch
-    equivalence tests assert it)."""
-    global _BATCH_ENABLED
-    _BATCH_ENABLED = bool(enabled)
-
-
-def batched_evaluation_enabled() -> bool:
-    return _BATCH_ENABLED
 
 
 # -- incremental re-simulation -------------------------------------------------
@@ -988,7 +804,7 @@ class SimulationState:
     a full run) when there is no prior state, when the changed set is
     unknown (``None``), when incremental simulation is globally
     disabled, or when the worklist fails to quiesce within the full
-    simulator's iteration budget.
+    simulator's iteration budget or meets a route it cannot withdraw.
     """
 
     def __init__(self, configs: Optional[Dict[str, RouterConfig]] = None) -> None:

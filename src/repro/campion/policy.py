@@ -5,7 +5,7 @@ the two sides are compared with the symbolic engine; the first witness
 route is reported with its example prefix, matching Campion's output
 style ("for the prefix 1.2.3.0/25 ... ACCEPT ... but ... REJECT").
 
-Attribute-transform diffing rides the v2 route datapath: candidate
+Attribute-transform diffing rides the interned route datapath: candidate
 routes and policy outputs carry interned AS-path/community instances,
 so the common no-difference case in ``repro.symbolic.diff`` resolves on
 pointer checks rather than set comparisons.

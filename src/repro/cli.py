@@ -36,11 +36,8 @@ the flag to merge several campaigns into one cross-campaign summary
 argument may also be a campaign-service directory, which expands to
 its manifest plus shard journals; ``--timeout SECONDS`` aborts a
 parallel run (resumably) when no scenario completes for that long;
-``--no-incremental-sim`` disables warm incremental BGP re-simulation,
-``--route-model v1`` restores the historical per-attribute route
-copies, ``--no-decision-cache`` disables cached best-path decision
-tuples, and ``--ship config`` pickles parent-materialized networks to
-workers instead of shipping coordinates — all for A/B comparisons.
+``--no-incremental-sim`` disables warm incremental BGP re-simulation
+(for A/B comparisons).
 ``--trace out.json`` (``campaign`` and ``synthesize``) writes a
 Chrome trace-event file of every phase span (open in Perfetto or
 ``chrome://tracing``); ``--profile`` appends a phase/slowest-scenario/
@@ -51,9 +48,10 @@ health (uptime, version, per-worker metric summaries); ``status
 Prometheus ``/metrics`` text.
 ``fuzz`` generates seeded random scenarios (``--fuzz-seed``,
 ``--iterations`` or a wall-clock ``--budget 300s``), runs each under
-every toggle combination (or a ``--pairs`` covering subset), asserts
-RIB/verdict/witness/memo equality against the all-legacy baseline,
-shrinks any divergence to a minimal repro under ``--corpus``
+every toggle combination, asserts RIB/verdict/witness equality against
+the reference BGP simulator (and memo traffic between incremental
+twins), records crashes as findings, shrinks any divergence or crash
+to a minimal repro under ``--corpus``
 (default ``tests/fuzz_corpus``), and journals progress for
 ``--resume``; ``fuzz --replay`` re-checks every corpus file.
 ``lint`` builds the reference configs for one topology cell
@@ -262,35 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable warm incremental BGP re-simulation (A/B comparisons)",
     )
     campaign.add_argument(
-        "--route-model",
-        choices=("v1", "v2"),
-        default="v2",
-        help=(
-            "route-transformation datapath: v2 (default, transactional "
-            "builder + interning) or v1 (historical per-attribute "
-            "copies, for A/B comparisons)"
-        ),
-    )
-    campaign.add_argument(
-        "--ship",
-        choices=("coords", "config"),
-        default="coords",
-        help=(
-            "campaign worker payload: coords (default, ship scenario "
-            "coordinates and regenerate networks in the worker) or "
-            "config (pickle parent-materialized networks to workers, "
-            "for A/B comparisons)"
-        ),
-    )
-    campaign.add_argument(
-        "--no-decision-cache",
-        action="store_true",
-        help=(
-            "disable the cached best-path decision tuples and batched "
-            "candidate comparison (A/B comparisons)"
-        ),
-    )
-    campaign.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -438,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = subparsers.add_parser(
         "fuzz",
         help="differential fuzzing of the toggle matrix against the "
-        "all-legacy baseline",
+        "reference BGP simulator",
     )
     fuzz.add_argument(
         "--fuzz-seed",
@@ -460,14 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "fuzz until the wall-clock budget is spent, e.g. 300s, 5m, "
             "or a plain number of seconds (the nightly mode)"
-        ),
-    )
-    fuzz.add_argument(
-        "--pairs",
-        action="store_true",
-        help=(
-            "run the pairwise-covering subset of toggle combinations "
-            "instead of all 32 (cheaper, still covers every factor pair)"
         ),
     )
     fuzz.add_argument(
@@ -716,14 +677,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .batfish.bgpsim import set_decision_cache, set_incremental_simulation
-    from .netmodel.route import set_route_model
+    from .batfish.bgpsim import set_incremental_simulation
     from .experiments.campaign import (
         CampaignInterrupted,
         build_grid,
         run_campaign,
         set_campaign_lint,
-        set_worker_shipping,
         summary_from_journals,
     )
 
@@ -749,9 +708,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 ("--roles", args.roles is not None),
                 ("--topo", args.topo is not None),
                 ("--place", args.place is not None),
-                ("--route-model", args.route_model != defaults.route_model),
-                ("--ship", args.ship != defaults.ship),
-                ("--no-decision-cache", args.no_decision_cache),
                 ("--lint", args.lint),
             )
             if given
@@ -776,10 +732,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     if args.no_incremental_sim:
         set_incremental_simulation(False)
-    if args.no_decision_cache:
-        set_decision_cache(False)
-    set_route_model(args.route_model)
-    set_worker_shipping(args.ship)
     set_campaign_lint(args.lint)
     families = [item for item in args.families.split(",") if item]
     profiles = [item for item in args.profiles.split(",") if item]
@@ -1148,7 +1100,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         fuzz_seed=args.fuzz_seed,
         iterations=args.iterations,
         budget_s=budget_s,
-        pairs=args.pairs,
         workers=args.workers,
         corpus_dir=args.corpus,
         planted=tuple(args.plant or ()),

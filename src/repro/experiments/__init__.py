@@ -17,8 +17,6 @@ from .campaign import (
     build_grid,
     run_campaign,
     run_scenario,
-    set_worker_shipping,
-    worker_shipping,
 )
 from .data import BATFISH_EXAMPLE_CISCO, load_translation_source
 from .iip_ablation import IipAblationResult, run_iip_ablation
@@ -71,6 +69,4 @@ __all__ = [
     "run_translation_experiment",
     "sample_synthesis_prompts",
     "sample_translation_prompts",
-    "set_worker_shipping",
-    "worker_shipping",
 ]

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import time
 import traceback
@@ -80,11 +79,9 @@ __all__ = [
     "service_journals",
     "campaign_lint",
     "set_campaign_lint",
-    "set_worker_shipping",
     "summary_from_journal",
     "summary_from_journals",
     "topology_seed",
-    "worker_shipping",
 ]
 
 # v2 added the grid's scenario keys to the header; v3 added the
@@ -112,44 +109,6 @@ PROFILES: Dict[str, BehaviorProfile] = {
 }
 
 
-# -- the worker-shipping A/B toggle --------------------------------------------
-#
-# How a campaign hands scenarios to pool workers.  "coords" (the
-# default) ships only the Scenario coordinate tuple and lets each
-# worker regenerate its network locally — generation is byte-
-# deterministic, so the worker's configs are identical to the parent's,
-# and the task payload stays a few hundred bytes no matter the topology
-# size.  "config" restores the heavyweight mode: the parent
-# materializes every network and pickles it into the task payload,
-# which is what campaigns effectively did when results carried whole
-# configs.  Both modes must be observationally identical — the
-# worker-shipping differential tests assert it.
-
-_SHIP_MODE = "coords"
-
-
-def set_worker_shipping(mode: str) -> None:
-    """Select the campaign worker payload: ``"coords"`` or ``"config"``.
-
-    ``coords`` ships scenario coordinates and regenerates networks in
-    the worker (cheap payloads, fork-inherited warm simulation states);
-    ``config`` materializes networks in the parent and pickles them to
-    workers (the legacy heavy mode, kept for A/B comparison — mirrors
-    ``set_route_model`` / ``set_incremental_simulation``).
-    """
-    if mode not in ("coords", "config"):
-        raise ValueError(
-            f"unknown worker shipping mode {mode!r} "
-            f"(expected coords or config)"
-        )
-    global _SHIP_MODE
-    _SHIP_MODE = mode
-
-
-def worker_shipping() -> str:
-    return _SHIP_MODE
-
-
 # -- the campaign lint axis ----------------------------------------------------
 #
 # With linting on, every successful scenario also runs the static
@@ -170,47 +129,6 @@ def set_campaign_lint(enabled: bool) -> None:
 
 def campaign_lint() -> bool:
     return _LINT_ENABLED
-
-
-_LOGGER = logging.getLogger(__name__)
-
-# Scenario keys whose parent-side generation failure was already logged,
-# so a grid that repeats a bad coordinate does not flood the log.
-_SHIPPING_FAILURES_LOGGED: set = set()
-
-
-def _materialize_for_shipping(scenario: Scenario):
-    """Parent-side network generation for config-shipping mode.
-
-    Returns ``None`` when generation fails with the *expected* bad-
-    coordinate error (``ValueError`` — unknown family, unsatisfiable
-    role spec, malformed knob string): the worker then regenerates from
-    coordinates and hits the same deterministic exception inside
-    :func:`run_scenario`'s error handling, producing the identical
-    error row a coords-mode campaign would journal.  Anything else is a
-    real bug in generation and propagates — this used to swallow every
-    exception, silently downgrading crashes to per-scenario error rows.
-    """
-    from .no_transit import materialize_network
-
-    try:
-        return materialize_network(
-            scenario.family,
-            scenario.size,
-            roles=scenario.roles,
-            topo=scenario.topo,
-            topology_seed=topology_seed(scenario),
-            place=scenario.place,
-        )
-    except ValueError as exc:
-        key = scenario.key()
-        if key not in _SHIPPING_FAILURES_LOGGED:
-            _SHIPPING_FAILURES_LOGGED.add(key)
-            _LOGGER.warning(
-                "config-shipping generation failed for %s: %s "
-                "(worker will journal the error row)", key, exc,
-            )
-        return None
 
 
 @dataclass(frozen=True)
@@ -442,10 +360,9 @@ def run_scenario(scenario: Scenario, network=None) -> ScenarioResult:
     """Execute one scenario through the full synthesis loop.
 
     ``network`` is an optional pre-materialized network for the same
-    coordinates (config-shipping mode); without it the network is
-    regenerated here from the scenario coordinates (coords mode) —
-    generation is byte-deterministic, so both paths run on identical
-    configs.
+    coordinates; without it the network is regenerated here from the
+    scenario coordinates (generation is byte-deterministic, so both
+    run on identical configs).
 
     Never raises: failures come back as error rows so one broken
     scenario cannot take down a whole campaign (or its worker pool).
@@ -601,8 +518,8 @@ def execute_scenario(scenario: Scenario, network=None) -> CompletedScenario:
     simulation states), route-datapath traffic (builder freezes vs
     no-change reuses), and per-phase wall-clock.
 
-    ``network`` carries a parent-materialized network in config-shipping
-    mode; coords mode leaves it ``None`` and regenerates in-worker."""
+    ``network`` is passed through to :func:`run_scenario`; campaigns
+    leave it ``None`` and each worker regenerates from coordinates."""
     before = counters_snapshot()
     _INFLIGHT.inc()
     try:
@@ -1361,9 +1278,7 @@ def _init_worker(
     Module globals do not survive the spawn/forkserver start methods,
     so the executor replays a full :func:`repro.core.toggles.snapshot`
     — every registered toggle, so a toggle added to the registry is
-    propagated automatically.  (The previous hand-picked argument list
-    silently dropped ``batched_evaluation``: workers of a
-    ``--no-batch`` campaign ran with batching enabled.)  ``tracing``
+    propagated automatically.  ``tracing``
     mirrors the parent's trace-capture flag so worker spans come home
     in each :class:`CompletedScenario`.
     """
@@ -1457,18 +1372,12 @@ def run_campaign(
             # always orders by the grid that last owned the journal.
             _append(handle, _journal_header(grid))
     try:
-        # Config-shipping materializes every pending network in the
-        # parent and ships it in the task payload; coords mode ships
-        # nothing but the Scenario itself.  The serial path follows the
-        # same rule so workers=1 exercises whichever mode is selected.
-        ship_config = _SHIP_MODE == "config"
+        # Workers receive nothing but the Scenario coordinates and
+        # regenerate each network locally (generation is byte-
+        # deterministic), so task payloads stay a few hundred bytes.
         if workers <= 1 or len(pending) <= 1:
             for scenario in pending:
-                network = (
-                    _materialize_for_shipping(scenario) if ship_config
-                    else None
-                )
-                record = execute_scenario(scenario, network)
+                record = execute_scenario(scenario)
                 completed[record.key] = record
                 trace_events.extend(record.spans)
                 if handle is not None:
@@ -1482,12 +1391,7 @@ def run_campaign(
             abandoned = False
             try:
                 outstanding = {
-                    executor.submit(
-                        execute_scenario,
-                        scenario,
-                        _materialize_for_shipping(scenario) if ship_config
-                        else None,
-                    )
+                    executor.submit(execute_scenario, scenario)
                     for scenario in pending
                 }
                 while outstanding:
@@ -1538,9 +1442,8 @@ def run_campaign(
         if handle is not None:
             handle.close()
         if tracing:
-            # Parent-side spans (config-shipping generation etc.) join
-            # the worker payloads; one merged trace survives even an
-            # interrupted campaign.
+            # Parent-side spans join the worker payloads; one merged
+            # trace survives even an interrupted campaign.
             trace_events.extend(drain_events())
             set_tracing(was_tracing)
             write_trace(str(trace_path), trace_events)

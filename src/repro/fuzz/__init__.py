@@ -1,21 +1,26 @@
-"""Differential fuzzing of the simulator/verifier toggle surface.
+"""Differential fuzzing of the simulator/verifier against a reference.
 
-The repo carries five independent A/B toggles (route model v1/v2, the
-best-path decision cache, batched route-map evaluation, incremental
-re-simulation, symbolic memoization) and nine topology-family cells.
-Every fast path must be observationally identical to the legacy path —
-the hand-written differential suites spot-check that contract; this
-package fuzzes it continuously:
+The production BGP simulator carries two optimizations that can be
+switched off (incremental re-simulation, symbolic memoization) and
+runs over nine topology-family cells.  Under every toggle combination
+it must be observationally identical to a small, independent reference
+simulator written from the decision-process spec — the hand-written
+differential suites spot-check that contract; this package fuzzes it
+continuously:
 
+* :mod:`reference` is the spec-derived BGP simulator (synchronous
+  rounds, an explicit attribute cascade, no caches or worklists);
 * :mod:`scenarios` generates seeded random (family, size, roles, topo
   knobs, placement, policy-edit sequence) scenarios;
-* :mod:`oracle` runs one scenario under a toggle combination and
-  records canonical observations (per-step RIBs, invariant violations
-  with witnesses, global verdicts, memo traffic);
-* :mod:`harness` drives the loop: every combination (or a pairwise
-  covering subset) against the all-legacy baseline, streaming results
-  through the campaign's JSONL journal substrate;
-* :mod:`shrink` delta-debugs a mismatch down to a minimal repro;
+* :mod:`oracle` runs one scenario under a toggle combination (or
+  through the reference) and records canonical observations (per-step
+  RIBs, invariant violations with witnesses, global verdicts, memo
+  traffic);
+* :mod:`harness` drives the loop: every combination against the
+  reference, crashes included, streaming results through the
+  campaign's JSONL journal substrate;
+* :mod:`shrink` delta-debugs a mismatch or crash down to a minimal
+  repro;
 * :mod:`corpus` serializes shrunk repros into ``tests/fuzz_corpus/``,
   where a pytest harness replays every file as a tier-1 differential
   test forever after.
@@ -24,11 +29,11 @@ package fuzzes it continuously:
 from .corpus import load_repro, replay_record, repro_filename, write_repro
 from .harness import FuzzConfig, FuzzSummary, run_fuzz, run_fuzz_iteration
 from .oracle import (
-    LEGACY_BASELINE,
+    REFERENCE_TOGGLES,
     all_combos,
     diff_observations,
     observe,
-    pairwise_combos,
+    observe_reference,
 )
 from .scenarios import FuzzEdit, FuzzScenario, scenario_at
 from .shrink import shrink_scenario
@@ -38,12 +43,12 @@ __all__ = [
     "FuzzEdit",
     "FuzzScenario",
     "FuzzSummary",
-    "LEGACY_BASELINE",
+    "REFERENCE_TOGGLES",
     "all_combos",
     "diff_observations",
     "load_repro",
     "observe",
-    "pairwise_combos",
+    "observe_reference",
     "replay_record",
     "repro_filename",
     "run_fuzz",

@@ -1,12 +1,16 @@
 """The shrunk-repro corpus: serialize, load, and replay.
 
-Every mismatch the fuzzer finds is shrunk and serialized as one JSON
-file under ``tests/fuzz_corpus/``.  A corpus file is self-contained:
-the minimal scenario, the toggle combination that diverged, the
-baseline it diverged from, and the divergence observed at capture
-time.  ``replay_record`` re-runs the comparison from scratch, so each
+Every mismatch or crash the fuzzer finds is shrunk and serialized as
+one JSON file under ``tests/fuzz_corpus/``.  A corpus file is
+self-contained: the minimal scenario, the toggle combination that
+diverged, the baseline it diverged from (the reference's toggles, or
+the memo twin), and the divergence observed at capture time.
+``replay_record`` re-runs the comparison from scratch, so each
 checked-in file is a permanent tier-1 differential test — it fails
 again the moment the bug it captured is reintroduced.
+
+Toggle names retired since a record was written are ignored on replay,
+so old records keep replaying against the current registry.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from .oracle import diff_memo_traffic, diff_observations, observe
+from ..core.toggles import toggle_names
+from .oracle import compare
 from .scenarios import FuzzScenario
 
 __all__ = [
@@ -43,7 +48,8 @@ def make_record(
     index: Optional[int] = None,
 ) -> dict:
     """One corpus record.  ``kind`` is ``"semantic"`` (observation vs
-    baseline) or ``"memo"`` (route-model partner memo traffic)."""
+    the reference), ``"memo"`` (memo traffic vs the incremental twin in
+    ``baseline``) or ``"crash"`` (one side raised)."""
     record = {
         "kind": "fuzz_repro",
         "version": CORPUS_VERSION,
@@ -98,18 +104,23 @@ def replay_record(record: dict) -> Optional[str]:
     """Re-run a corpus record's comparison from scratch.
 
     Returns ``None`` when the paths agree (the bug stays fixed) or the
-    divergence description when they do not.
+    divergence (or crash) description when they do not.
     """
     scenario = FuzzScenario.from_dict(record["scenario"])
-    combo = record["combo"]
-    baseline = record["baseline"]
-    if record.get("check") == "memo":
-        return diff_memo_traffic(
-            observe(scenario, baseline), observe(scenario, combo)
-        )
-    return diff_observations(
-        observe(scenario, baseline), observe(scenario, combo)
+    combo = _live_toggles(record["combo"])
+    twin = (
+        _live_toggles(record["baseline"])
+        if record.get("check") == "memo"
+        else None
     )
+    found = compare(scenario, combo, twin)
+    return None if found is None else found[1]
+
+
+def _live_toggles(values: Dict[str, Any]) -> Dict[str, Any]:
+    """``values`` without the toggle names the registry has retired."""
+    live = set(toggle_names())
+    return {name: value for name, value in values.items() if name in live}
 
 
 def replay_file(path: "Path | str") -> Optional[str]:

@@ -14,7 +14,7 @@ The catalog is deliberately adversarial toward the toggle surface:
 * ``strip_additive`` re-creates the paper's "Adding Communities" IIP
   bug (community-set divergence);
 * ``bump_local_pref`` makes an ingress map decision-*affecting*, which
-  disables the decision-cache loser pre-screen;
+  disables the loser pre-screen in ``bgpsim._advertise``;
 * ``announce_shared_prefix`` creates multi-origin prefixes — the
   tie-heavy case where best-path tie-break bugs (PR 6's ``"" < ""``
   fall-through) actually bite;

@@ -1,11 +1,11 @@
-"""The fuzz loop: scenarios × toggle combinations, against the baseline.
+"""The fuzz loop: scenarios × toggle combinations, against the reference.
 
 Each iteration derives its scenario purely from ``(fuzz_seed, index)``
-(see :mod:`repro.fuzz.scenarios`), observes it under the all-legacy
-baseline and under every other toggle combination — all 32, or the
-pairwise covering subset — and reports the first divergence.  A
-divergence is delta-debugged down to a minimal scenario and returned
-as a ready-to-serialize corpus record.
+(see :mod:`repro.fuzz.scenarios`), observes it through the reference
+simulator and under every toggle combination, and reports the first
+divergence — or the first crash, on either side.  A finding is
+delta-debugged down to a minimal scenario and returned as a
+ready-to-serialize corpus record.
 
 Results stream through the campaign's JSONL journal substrate: every
 finished iteration is appended and flushed, ``resume=True`` folds the
@@ -27,13 +27,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core import toggles
 from .corpus import make_record, write_repro
 from .oracle import (
-    LEGACY_BASELINE,
+    REFERENCE_TOGGLES,
     all_combos,
+    attempt,
+    combo_label,
+    compare,
+    crash_signature,
     diff_memo_traffic,
     diff_observations,
+    materialize_scenario,
     memo_partner,
     observe,
-    pairwise_combos,
+    observe_reference,
 )
 from .scenarios import FuzzScenario, scenario_at
 from .shrink import shrink_scenario
@@ -50,13 +55,14 @@ __all__ = [
 ]
 
 # v2 adds the static-analysis cross-check columns to every executed
-# iteration: ``broken`` (did the baseline observation end with a
+# iteration: ``broken`` (did the reference observation end with a
 # violated invariant or failed global check), ``lint_findings``/
 # ``lint_high`` (analyzer counts over the final edited configs), and
 # ``recall_gap`` (simulator says broken, analyzer found nothing — a
-# journaled hole in the lint rule set).  Folding stays tolerant in
-# both directions.
-FUZZ_JOURNAL_VERSION = 2
+# journaled hole in the lint rule set).  v3 compares against the
+# reference simulator: the header drops ``pairs`` and rows gain the
+# ``crash`` check.  Folding stays tolerant in both directions.
+FUZZ_JOURNAL_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -66,20 +72,17 @@ class FuzzConfig:
     ``iterations`` pins an exact, deterministic amount of work;
     ``budget_s`` instead runs until the wall-clock budget is spent
     (the nightly mode).  ``planted`` names hidden known-bug flags to
-    re-enable — the harness's self-test mechanism, proving the loop
-    can find, shrink, and serialize a real historical bug.
+    re-enable in the reference — the harness's self-test mechanism,
+    proving the loop can find, shrink, and serialize a real historical
+    bug.
     """
 
     fuzz_seed: int = 0
     iterations: Optional[int] = None
     budget_s: Optional[float] = None
-    pairs: bool = False
     workers: int = 1
     corpus_dir: "Path | str" = Path("tests/fuzz_corpus")
     planted: Tuple[str, ...] = ()
-
-    def combos(self) -> List[Dict[str, Any]]:
-        return pairwise_combos() if self.pairs else all_combos()
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ class FuzzIterationResult:
     index: int
     key: str
     ok: bool
-    check: Optional[str] = None  # "semantic" | "memo" when not ok
+    check: Optional[str] = None  # "semantic" | "memo" | "crash" when not ok
     combo: Optional[Dict[str, Any]] = None
     mismatch: Optional[str] = None
     repro: Optional[dict] = None  # shrunk corpus record, ready to write
@@ -106,7 +109,7 @@ class FuzzIterationResult:
 
 
 def _apply_planted(planted: Sequence[str]) -> None:
-    from ..batfish.bgpsim import _plant_bug
+    from .reference import _plant_bug
 
     for name in planted:
         _plant_bug(name, True)
@@ -117,7 +120,7 @@ def _planted_scope(planted: Sequence[str]):
     """Plant the named bugs for the duration of the block, restoring the
     previous planted set on exit — an in-process fuzz run must not leave
     a known bug enabled for whatever runs next."""
-    from ..batfish.bgpsim import _KNOWN_PLANTED_BUGS, _plant_bug, _planted_bugs
+    from .reference import _KNOWN_PLANTED_BUGS, _plant_bug, _planted_bugs
 
     before = _planted_bugs()
     _apply_planted(planted)
@@ -132,112 +135,59 @@ def run_fuzz_iteration(
     fuzz_seed: int,
     index: int,
     combos: Optional[Sequence[Dict[str, Any]]] = None,
-    pairs: bool = False,
     planted: Sequence[str] = (),
 ) -> FuzzIterationResult:
-    """Fuzz one index: observe under every combination, diff against
-    the baseline, shrink the first divergence.  Deterministic — the
-    same arguments produce the same result in any process."""
+    """Fuzz one index: observe the reference and every combination,
+    diff them, shrink the first divergence or crash.  Deterministic —
+    the same arguments produce the same result in any process."""
     with _planted_scope(planted):
-        return _fuzz_index(fuzz_seed, index, combos=combos, pairs=pairs)
+        return _fuzz_index(fuzz_seed, index, combos=combos)
 
 
 def _fuzz_index(
     fuzz_seed: int,
     index: int,
     combos: Optional[Sequence[Dict[str, Any]]] = None,
-    pairs: bool = False,
 ) -> FuzzIterationResult:
     scenario = scenario_at(fuzz_seed, index)
-    combo_list = [
-        dict(combo)
-        for combo in (
-            combos
-            if combos is not None
-            else (pairwise_combos() if pairs else all_combos())
-        )
-    ]
     try:
-        baseline_obs = observe(scenario, LEGACY_BASELINE)
-    except Exception as exc:
+        materialize_scenario(scenario)
+    except ValueError as exc:  # impossible coordinates: nothing to fuzz
         return FuzzIterationResult(
             index=index,
             key=scenario.key(),
             ok=True,
             error=f"{type(exc).__name__}: {exc}",
         )
-    broken, lint_findings, lint_high, recall_gap = _lint_cross_check(
-        scenario, baseline_obs
-    )
-    cache: Dict[str, dict] = {}
-
-    def observed(combo: Dict[str, Any]) -> dict:
-        cache_key = json.dumps(combo, sort_keys=True)
-        if cache_key not in cache:
-            cache[cache_key] = observe(scenario, combo)
-        return cache[cache_key]
-
-    failure: Optional[Tuple[str, Dict[str, Any], Dict[str, Any], str]] = None
-    for combo in combo_list:
-        if combo == LEGACY_BASELINE:
-            continue
-        mismatch = diff_observations(baseline_obs, observed(combo))
-        if mismatch is not None:
-            failure = ("semantic", combo, dict(LEGACY_BASELINE), mismatch)
-            break
-        partner = memo_partner(combo)
-        if partner is not None and partner in combo_list:
-            memo_mismatch = diff_memo_traffic(
-                observed(partner), observed(combo)
-            )
-            if memo_mismatch is not None:
-                failure = ("memo", combo, partner, memo_mismatch)
-                break
+    except Exception:
+        pass  # not a coordinate error: the reference run records the crash
+    combo_list = [dict(combo) for combo in (combos or all_combos())]
+    reference_obs, failure = _first_failure(scenario, combo_list)
+    lint = _lint_cross_check(scenario, reference_obs)
     if failure is None:
         return FuzzIterationResult(
-            index=index,
-            key=scenario.key(),
-            ok=True,
-            broken=broken,
-            lint_findings=lint_findings,
-            lint_high=lint_high,
-            recall_gap=recall_gap,
+            index=index, key=scenario.key(), ok=True, **lint
         )
 
-    check, combo, against, mismatch = failure
+    check, combo, twin, mismatch = failure
 
     def still_fails(candidate: FuzzScenario) -> bool:
-        if check == "memo":
-            return (
-                diff_memo_traffic(
-                    observe(candidate, against), observe(candidate, combo)
-                )
-                is not None
-            )
-        return (
-            diff_observations(
-                observe(candidate, against), observe(candidate, combo)
-            )
-            is not None
+        found = compare(candidate, combo, twin)
+        if found is None or found[0] != check:
+            return False
+        return check != "crash" or (
+            crash_signature(found[1]) == crash_signature(mismatch)
         )
 
     shrunk = shrink_scenario(scenario, still_fails)
-    final_mismatch = mismatch
     if shrunk != scenario:
-        if check == "memo":
-            final_mismatch = diff_memo_traffic(
-                observe(shrunk, against), observe(shrunk, combo)
-            )
-        else:
-            final_mismatch = diff_observations(
-                observe(shrunk, against), observe(shrunk, combo)
-            )
+        mismatch = compare(shrunk, combo, twin)[1]
     record = make_record(
         shrunk,
         combo,
-        against,
+        twin or dict(REFERENCE_TOGGLES),
         check,
-        final_mismatch or mismatch,
+        mismatch,
         fuzz_seed=fuzz_seed,
         index=index,
     )
@@ -247,43 +197,70 @@ def _fuzz_index(
         ok=False,
         check=check,
         combo=combo,
-        mismatch=final_mismatch or mismatch,
+        mismatch=mismatch,
         repro=record,
-        broken=broken,
-        lint_findings=lint_findings,
-        lint_high=lint_high,
-        recall_gap=recall_gap,
+        **lint,
     )
 
 
+def _first_failure(
+    scenario: FuzzScenario, combo_list: List[Dict[str, Any]]
+) -> Tuple[Optional[dict], Optional[Tuple[str, Dict[str, Any], Any, str]]]:
+    """The reference observation and the first finding, as ``(check,
+    combo, memo twin or None, detail)`` (``None`` when all agree)."""
+    reference_obs, crash = attempt("reference", observe_reference, scenario)
+    if crash is not None:
+        return None, ("crash", dict(REFERENCE_TOGGLES), None, crash)
+    observed: Dict[str, dict] = {}
+    for combo in combo_list:
+        obs, crash = attempt(combo_label(combo), observe, scenario, combo)
+        if crash is not None:
+            return reference_obs, ("crash", combo, None, crash)
+        observed[combo_label(combo)] = obs
+        mismatch = diff_observations(reference_obs, obs)
+        if mismatch is not None:
+            return reference_obs, ("semantic", combo, None, mismatch)
+        twin = memo_partner(combo)
+        if twin is not None and combo_label(twin) in observed:
+            mismatch = diff_memo_traffic(observed[combo_label(twin)], obs)
+            if mismatch is not None:
+                return reference_obs, ("memo", combo, twin, mismatch)
+    return reference_obs, None
+
+
 def _lint_cross_check(
-    scenario: FuzzScenario, baseline_obs: dict
-) -> Tuple[Optional[bool], Optional[int], Optional[int], Optional[bool]]:
+    scenario: FuzzScenario, reference_obs: Optional[dict]
+) -> Dict[str, Any]:
     """Cross the simulator's verdict with the static analyzer's.
 
-    ``broken`` reads the *final* baseline step (the state the analyzer
+    ``broken`` reads the *final* reference step (the state the analyzer
     sees): any local-invariant violation or a failed global check.  The
     analyzer then runs over the same final edited configs; a broken
     network that lints clean is a recall gap — journaled, and counted
     on ``analysis.recall_gaps``, so fuzzing continuously measures the
-    rule set's blind spots.  Analysis failures degrade to all-None
+    rule set's blind spots.  Analysis failures degrade to None columns
     rather than aborting the iteration.
     """
     try:
-        last = baseline_obs["steps"][-1]
+        last = reference_obs["steps"][-1]
         broken = bool(last["violations"]) or not last["global"]["holds"]
     except (KeyError, IndexError, TypeError):
-        return None, None, None, None
+        return {}
     try:
         from ..obs import counter
 
         report = lint_scenario(scenario)
     except Exception:
-        return broken, None, None, None
+        return {"broken": broken}
     recall_gap = bool(broken and len(report) == 0)
     if recall_gap:
         counter("analysis.recall_gaps").inc()
-    return broken, len(report), report.high, recall_gap
+    return {
+        "broken": broken,
+        "lint_findings": len(report),
+        "lint_high": report.high,
+        "recall_gap": recall_gap,
+    }
 
 
 def lint_scenario(scenario: FuzzScenario):
@@ -329,7 +306,6 @@ def _fuzz_header(config: FuzzConfig, combos: int) -> str:
             "kind": "fuzz",
             "version": FUZZ_JOURNAL_VERSION,
             "fuzz_seed": config.fuzz_seed,
-            "pairs": config.pairs,
             "combos": combos,
         },
         sort_keys=True,
@@ -437,9 +413,13 @@ class FuzzSummary:
                     f"({result.error})"
                 )
             elif not result.ok:
+                what = (
+                    "crash" if result.check == "crash"
+                    else f"{result.check} mismatch"
+                )
                 lines.append(
                     f"  [{result.index:>4}] FAIL {result.key}\n"
-                    f"         {result.check} mismatch under "
+                    f"         {what} under "
                     f"{result.combo}:\n         {result.mismatch}"
                 )
             if result.recall_gap:
@@ -500,7 +480,7 @@ def _run_fuzz_loop(
     from ..experiments.campaign import _append, _open_journal
 
     started = time.perf_counter()
-    combos = config.combos()
+    combos = all_combos()
     journal = Path(journal_path) if journal_path is not None else None
     if resume and journal is None:
         raise ValueError("resume=True requires a journal_path")

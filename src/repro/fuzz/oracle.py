@@ -6,67 +6,63 @@ policy edit, the full RIB of every router (attributes, provenance
 path), the local-invariant violations with their witness routes, and
 the global no-transit verdict with per-role breakdowns.  Symbolic memo
 traffic is captured alongside — canonical memo keys make the hit/miss
-pattern datapath-independent, so it is compared between route-model
-partners that share every other toggle.
+pattern independent of how the RIBs were converged, so it is compared
+between incremental twins that share every other toggle.
 
-The all-legacy baseline (:data:`LEGACY_BASELINE`) is the oracle every
-other combination is compared against; a fast path may only ship while
-it is provably equivalent to the path it wants to retire.
+The oracle every combination is compared against is
+:func:`observe_reference`: RIBs from the spec-derived reference
+simulator (:mod:`repro.fuzz.reference`), violations and verdicts from
+the production checks with every optimization off
+(:data:`REFERENCE_TOGGLES`).
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+import json
+import os
+import traceback
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core import toggles
+from . import reference
 from .edits import apply_edit_op, resolve_router
 from .scenarios import FuzzScenario
 
 __all__ = [
-    "ALL_NEW",
     "FUZZ_FACTORS",
-    "LEGACY_BASELINE",
+    "REFERENCE_TOGGLES",
     "all_combos",
+    "attempt",
+    "canonical_ribs",
+    "combo_label",
+    "compare",
+    "crash_signature",
     "diff_memo_traffic",
     "diff_observations",
     "memo_partner",
     "observe",
-    "pairwise_combos",
+    "observe_reference",
 ]
 
-# The fuzzed toggle axes, in canonical order.  ``worker_shipping`` is a
-# campaign-transport toggle with no per-scenario semantics, so it is
-# covered by its own differential suite, not fuzzed here.
+# The fuzzed toggle axes, in canonical order.
 FUZZ_FACTORS: Tuple[Tuple[str, Tuple[Any, ...]], ...] = (
-    ("route_model", ("v1", "v2")),
-    ("decision_cache", (False, True)),
-    ("batched_evaluation", (False, True)),
     ("incremental_simulation", (False, True)),
     ("memoization", (False, True)),
 )
 
-LEGACY_BASELINE: Dict[str, Any] = {
-    "route_model": "v1",
-    "decision_cache": False,
-    "batched_evaluation": False,
+# The toggles the reference observation runs the production checks
+# under (its RIBs never touch the production simulator).
+REFERENCE_TOGGLES: Dict[str, Any] = {
     "incremental_simulation": False,
     "memoization": False,
 }
 
-ALL_NEW: Dict[str, Any] = {
-    "route_model": "v2",
-    "decision_cache": True,
-    "batched_evaluation": True,
-    "incremental_simulation": True,
-    "memoization": True,
-}
-
 
 def all_combos() -> List[Dict[str, Any]]:
-    """Every toggle combination (32), in a fixed enumeration order
-    starting from the all-legacy baseline."""
+    """Every toggle combination (4), in a fixed enumeration order
+    starting from the all-off corner."""
     names = [name for name, _values in FUZZ_FACTORS]
     return [
         dict(zip(names, values))
@@ -76,52 +72,18 @@ def all_combos() -> List[Dict[str, Any]]:
     ]
 
 
-def pairwise_combos() -> List[Dict[str, Any]]:
-    """A deterministic pairwise-covering subset of the combinations.
-
-    Greedy cover: starts from the baseline and the all-new corner,
-    then repeatedly adds the enumeration-order-first combination that
-    covers the most uncovered factor-value pairs.  Every pair of
-    (factor, value) settings appears in at least one returned
-    combination — the cheap mode for time-budgeted nightly runs.
-    """
-    candidates = all_combos()
-    names = [name for name, _values in FUZZ_FACTORS]
-
-    def pairs_of(combo: Dict[str, Any]) -> set:
-        return {
-            (a, combo[a], b, combo[b])
-            for a, b in itertools.combinations(names, 2)
-        }
-
-    needed = set()
-    for combo in candidates:
-        needed |= pairs_of(combo)
-    chosen = [dict(LEGACY_BASELINE), dict(ALL_NEW)]
-    covered = pairs_of(LEGACY_BASELINE) | pairs_of(ALL_NEW)
-    while needed - covered:
-        best = max(
-            candidates,
-            key=lambda combo: len(pairs_of(combo) - covered),
-        )
-        chosen.append(dict(best))
-        covered |= pairs_of(best)
-    return chosen
-
-
 def memo_partner(combo: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     """The combination whose memo traffic must equal this one's.
 
-    Canonical memo keys make cache traffic independent of the route
-    model, so a memoized v2 combination is compared against its v1
-    twin (every other toggle equal).  ``None`` when no comparison
-    applies (memoization off, or already the v1 side).
+    Canonical memo keys make cache traffic independent of whether the
+    RIBs were re-converged incrementally, so a memoized incremental
+    combination is compared against its full-simulation twin.  ``None``
+    when no comparison applies (memoization off, or already the full
+    side).
     """
-    if not combo.get("memoization") or combo.get("route_model") != "v2":
+    if not combo.get("memoization") or not combo.get("incremental_simulation"):
         return None
-    partner = dict(combo)
-    partner["route_model"] = "v1"
-    return partner
+    return {**combo, "incremental_simulation": False}
 
 
 def _canonical_route(route) -> list:
@@ -135,7 +97,10 @@ def _canonical_route(route) -> list:
     ]
 
 
-def _canonical_ribs(simulation) -> Dict[str, Dict[str, list]]:
+def canonical_ribs(ribs: Dict[str, dict]) -> Dict[str, Dict[str, list]]:
+    """Production and reference RIBs in one comparable form (entries of
+    either kind carry ``route``/``learned_from``/``origin_router``/
+    ``path``)."""
     return {
         name: {
             str(entry.route.prefix): (
@@ -146,19 +111,24 @@ def _canonical_ribs(simulation) -> Dict[str, Dict[str, list]]:
                     list(entry.path),
                 ]
             )
-            for entry in simulation.rib(name).values()
+            for entry in ribs[name].values()
         }
-        for name in sorted(simulation._configs)
+        for name in sorted(ribs)
     }
 
 
-def _step_observation(state, configs, topology, invariants) -> dict:
+def _production_ribs(state) -> Dict[str, dict]:
+    simulation = state.simulation
+    return {name: simulation.rib(name) for name in simulation._configs}
+
+
+def _step_observation(ribs, configs, topology, invariants) -> dict:
     from ..lightyear import check_global_no_transit, verify_invariants
 
     violations = verify_invariants(copy.deepcopy(configs), invariants)
     check = check_global_no_transit(copy.deepcopy(configs), topology)
     return {
-        "ribs": _canonical_ribs(state.simulation),
+        "ribs": canonical_ribs(ribs),
         "violations": [
             [
                 violation.router,
@@ -185,7 +155,35 @@ def observe(scenario: FuzzScenario, combo: Dict[str, Any]) -> dict:
     is reset on entry so observations are hermetic per combination.
     """
     from ..batfish.bgpsim import SimulationState
-    from ..experiments.no_transit import materialize_network
+
+    state = SimulationState()
+
+    def converge(configs, changed):
+        if changed is None:
+            state.converge(copy.deepcopy(configs))
+        else:
+            state.resimulate(copy.deepcopy(configs), changed)
+        return _production_ribs(state)
+
+    return _observe(scenario, combo, converge)
+
+
+def observe_reference(scenario: FuzzScenario) -> dict:
+    """The oracle's observation: RIBs from the reference simulator,
+    violations and verdicts from the production checks run under
+    :data:`REFERENCE_TOGGLES`."""
+
+    def converge(configs, _changed):
+        return reference.simulate(copy.deepcopy(configs))
+
+    return _observe(scenario, REFERENCE_TOGGLES, converge)
+
+
+def _observe(scenario: FuzzScenario, combo: Dict[str, Any], converge) -> dict:
+    """Walk the scenario's edit sequence, observing after the initial
+    convergence and after every edit.  ``converge(configs, changed)``
+    returns the RIBs for ``configs``; ``changed`` is ``None`` for the
+    initial convergence, else the set of edited routers."""
     from ..lightyear import no_transit_invariants
     from ..lightyear.compose import reset_simulation_states
     from ..symbolic.memo import cache_totals, reset_caches
@@ -194,31 +192,24 @@ def observe(scenario: FuzzScenario, combo: Dict[str, Any]) -> dict:
     with toggles.scoped(**combo):
         reset_caches()
         reset_simulation_states()
-        network = materialize_network(
-            scenario.family,
-            scenario.size,
-            roles=scenario.roles,
-            topo=scenario.topo,
-            topology_seed=scenario.topology_seed,
-            place=scenario.place,
-        )
-        topology = network.topology
+        topology = materialize_scenario(scenario).topology
         configs = build_reference_configs(topology)
         invariants = no_transit_invariants(topology)
         hits_before, misses_before = cache_totals()
-        state = SimulationState()
-        state.converge(copy.deepcopy(configs))
         steps = [
             {"applied": None}
-            | _step_observation(state, configs, topology, invariants)
+            | _step_observation(
+                converge(configs, None), configs, topology, invariants
+            )
         ]
         for edit in scenario.edits:
             router = resolve_router(edit.router_index, configs)
             applied = apply_edit_op(edit.op, configs, router)
-            state.resimulate(copy.deepcopy(configs), {router})
             steps.append(
                 {"applied": [router, edit.op, applied]}
-                | _step_observation(state, configs, topology, invariants)
+                | _step_observation(
+                    converge(configs, {router}), configs, topology, invariants
+                )
             )
         hits_after, misses_after = cache_totals()
         reset_simulation_states()
@@ -227,6 +218,21 @@ def observe(scenario: FuzzScenario, combo: Dict[str, Any]) -> dict:
             "steps": steps,
             "memo": [hits_after - hits_before, misses_after - misses_before],
         }
+
+
+def materialize_scenario(scenario: FuzzScenario):
+    """The scenario's network.  Raises ``ValueError`` when its
+    coordinates cannot generate one (the only expected failure)."""
+    from ..experiments.no_transit import materialize_network
+
+    return materialize_network(
+        scenario.family,
+        scenario.size,
+        roles=scenario.roles,
+        topo=scenario.topo,
+        topology_seed=scenario.topology_seed,
+        place=scenario.place,
+    )
 
 
 def _first_rib_divergence(base: dict, other: dict) -> str:
@@ -239,16 +245,16 @@ def _first_rib_divergence(base: dict, other: dict) -> str:
             if left.get(prefix) != right.get(prefix):
                 return (
                     f"router {router} prefix {prefix}: "
-                    f"baseline={left.get(prefix)} vs {right.get(prefix)}"
+                    f"expected={left.get(prefix)} vs {right.get(prefix)}"
                 )
     return "rib key sets differ"
 
 
-def diff_observations(baseline: dict, other: dict) -> Optional[str]:
+def diff_observations(expected: dict, other: dict) -> Optional[str]:
     """The first semantic divergence between two observations, or
     ``None`` when they agree (memo traffic is compared separately —
     see :func:`diff_memo_traffic`)."""
-    base_steps, other_steps = baseline["steps"], other["steps"]
+    base_steps, other_steps = expected["steps"], other["steps"]
     if len(base_steps) != len(other_steps):
         return (
             f"step counts differ: {len(base_steps)} vs {len(other_steps)}"
@@ -266,7 +272,7 @@ def diff_observations(baseline: dict, other: dict) -> Optional[str]:
         if left["violations"] != right["violations"]:
             return (
                 f"step {index}: invariant violations diverged "
-                f"(baseline {len(left['violations'])}: "
+                f"(expected {len(left['violations'])}: "
                 f"{left['violations']} vs {len(right['violations'])}: "
                 f"{right['violations']})"
             )
@@ -279,9 +285,73 @@ def diff_observations(baseline: dict, other: dict) -> Optional[str]:
 
 
 def diff_memo_traffic(left: dict, right: dict) -> Optional[str]:
-    """Memo hit/miss divergence between two route-model partner runs."""
+    """Memo hit/miss divergence between two incremental-twin runs."""
     if left["memo"] != right["memo"]:
         return (
-            f"memo traffic diverged: v1 {left['memo']} vs v2 {right['memo']}"
+            f"memo traffic diverged: full {left['memo']} vs "
+            f"incremental {right['memo']}"
         )
     return None
+
+
+# -- crashes and one-shot comparisons ------------------------------------------
+
+
+def attempt(
+    side: str, run: Callable[..., dict], *args: Any
+) -> Tuple[Optional[dict], Optional[str]]:
+    """``(run(*args), None)``, or ``(None, crash)`` when it raises.
+
+    The crash description names the side, the exception type and the
+    innermost frame: ``"<side> crashed: <Type> at <file>:<line> in
+    <function>: <message>"``.
+    """
+    try:
+        return run(*args), None
+    except Exception as exc:
+        frames = traceback.extract_tb(exc.__traceback__)
+        site = (
+            f"{os.path.basename(frames[-1].filename)}:{frames[-1].lineno} "
+            f"in {frames[-1].name}"
+            if frames
+            else "unknown site"
+        )
+        return None, f"{side} crashed: {type(exc).__name__} at {site}: {exc}"
+
+
+def crash_signature(crash: str) -> str:
+    """The side, exception type and site of a crash description (its
+    message dropped), for matching one crash against another."""
+    return ": ".join(crash.split(": ", 2)[:2])
+
+
+def combo_label(combo: Dict[str, Any]) -> str:
+    return "combo " + json.dumps(combo, sort_keys=True)
+
+
+def compare(
+    scenario: FuzzScenario,
+    combo: Dict[str, Any],
+    twin: Optional[Dict[str, Any]] = None,
+) -> Optional[Tuple[str, str]]:
+    """Run one comparison from scratch.
+
+    Without ``twin``, the combination's observation is compared with
+    the reference's; with it, the combination's memo traffic is
+    compared with the twin's.  Returns ``(check, detail)`` — check
+    ``"semantic"``, ``"memo"`` or ``"crash"`` — or ``None`` when the
+    two sides agree.
+    """
+    if twin is None:
+        expected, crash = attempt("reference", observe_reference, scenario)
+    else:
+        expected, crash = attempt(combo_label(twin), observe, scenario, twin)
+    if crash is None:
+        actual, crash = attempt(combo_label(combo), observe, scenario, combo)
+    if crash is not None:
+        return "crash", crash
+    if twin is None:
+        mismatch = diff_observations(expected, actual)
+        return None if mismatch is None else ("semantic", mismatch)
+    mismatch = diff_memo_traffic(expected, actual)
+    return None if mismatch is None else ("memo", mismatch)

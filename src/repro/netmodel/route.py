@@ -5,30 +5,17 @@ a prefix plus the attributes the paper's experiments manipulate (MED,
 local preference, communities, AS path, origin protocol).  Routes are
 immutable; policy evaluation returns transformed copies.
 
-Route datapath v2
------------------
-
-The original ``Route`` was a frozen dataclass whose seven ``with_*``
-methods each ran ``dataclasses.replace`` — on large-mesh converges that
-attribute copying was ~45% of the wall clock.  The redesigned datapath
-keeps the same value semantics but changes the machinery:
-
-* ``Route`` is a ``__slots__`` value type whose :class:`~repro.netmodel.
-  aspath.AsPath` and community set are *interned* (one canonical
-  instance per distinct value, see ``AsPath.of`` and
-  :func:`~repro.netmodel.communities.intern_communities`), so equality
-  and hashing on the hot comparisons are pointer-cheap and memo keys
-  stay canonical;
-* transformation happens through a mutating
-  :class:`~repro.netmodel.routebuilder.RouteBuilder` that policy
-  evaluation drives *transactionally*: a clause chain (or a whole
-  session export in ``bgpsim._advertise``) accumulates every change
-  into one builder and ``freeze()``-es exactly once, allocating one
-  ``Route`` where the v1 path allocated one per attribute;
-* the historical ``with_*`` methods survive as thin deprecated shims
-  over the builder, and :func:`set_route_model` keeps the piecemeal v1
-  datapath alive for A/B benchmarking (results are identical either
-  way — the differential route-model tests assert it).
+Routes are ``__slots__`` value types whose :class:`~repro.netmodel.
+aspath.AsPath` and community set are *interned* (one canonical instance
+per distinct value, see ``AsPath.of`` and
+:func:`~repro.netmodel.communities.intern_communities`), so equality and
+hashing on the hot comparisons are pointer-cheap and memo keys stay
+canonical.  A route is never edited: transformation goes through a
+mutating :class:`~repro.netmodel.routebuilder.RouteBuilder` that policy
+evaluation drives *transactionally* — a clause's set chain (or a whole
+session export in ``bgpsim._advertise``) accumulates every change into
+one builder and ``freeze()``-es exactly once, allocating one ``Route``
+per transformation rather than one per attribute.
 """
 
 from __future__ import annotations
@@ -48,9 +35,7 @@ __all__ = [
     "ROUTES_REUSED",
     "Route",
     "reset_route_stats",
-    "route_model",
     "route_totals",
-    "set_route_model",
 ]
 
 
@@ -80,39 +65,13 @@ class Protocol(enum.Enum):
 DEFAULT_LOCAL_PREF = 100
 
 
-# -- the datapath A/B toggle ---------------------------------------------------
-
-_ROUTE_MODEL = "v2"
+# -- datapath accounting -------------------------------------------------------
 
 #: Route allocations through RouteBuilder.freeze.
 ROUTES_BUILT = counter("route.routes_built")
 #: Routes reused instead of rebuilt: no-change freeze() calls plus
 #: bgpsim's per-session candidate reuses across fixpoint rounds.
 ROUTES_REUSED = counter("route.routes_reused")
-
-
-def set_route_model(model: str) -> None:
-    """Select the route-transformation datapath: ``"v1"`` or ``"v2"``.
-
-    v2 (the default) drives policy evaluation and session export through
-    one transactional :class:`~repro.netmodel.routebuilder.RouteBuilder`
-    per clause chain; v1 restores the historical piecemeal ``with_*`` /
-    per-``SetAction`` copies so benchmarks can compare the two paths
-    (mirrors ``set_batched_evaluation`` / ``set_incremental_simulation``).
-    RIBs, verdicts, and memo behavior are identical under either model.
-    """
-    if model not in ("v1", "v2"):
-        raise ValueError(f"unknown route model {model!r} (expected v1 or v2)")
-    global _ROUTE_MODEL
-    _ROUTE_MODEL = model
-
-
-def route_model() -> str:
-    return _ROUTE_MODEL
-
-
-def route_model_is_v2() -> bool:
-    return _ROUTE_MODEL == "v2"
 
 
 def reset_route_stats() -> None:
@@ -135,8 +94,8 @@ def route_totals() -> dict:
 class Route:
     """An immutable route advertisement (interned, ``__slots__``-based).
 
-    >>> route = Route(prefix=Prefix.parse("1.2.3.0/24"))
-    >>> route.with_med(50).med
+    >>> route = Route(prefix=Prefix.parse("1.2.3.0/24"), med=50)
+    >>> route.med
     50
     """
 
@@ -303,63 +262,6 @@ class Route:
             f"protocol={self.protocol!r}, next_hop={self.next_hop!r})"
         )
 
-    # -- deprecated v1 shims ---------------------------------------------------
-    #
-    # Each with_* call builds and freezes a single-change builder: one
-    # Route allocation per attribute, exactly the historical cost model
-    # the v1 datapath preserves for A/B comparison.  New code should
-    # drive a RouteBuilder transactionally instead.
-
-    def builder(self) -> "RouteBuilder":
-        """A mutable builder seeded from this route (the v2 entry point)."""
-        return _make_builder(self)
-
-    def with_community_added(self, community: Community) -> "Route":
-        """Deprecated: additive community set (``set community X additive``)."""
-        builder = _make_builder(self)
-        builder.add_community(community)
-        return builder.freeze()
-
-    def with_communities_replaced(self, community: Community) -> "Route":
-        """Deprecated: non-additive set, replacing every existing community.
-
-        This is the behaviour the paper's IIP exists to avoid (§4.2,
-        "Adding Communities").
-        """
-        builder = _make_builder(self)
-        builder.set_communities((community,))
-        return builder.freeze()
-
-    def with_med(self, med: int) -> "Route":
-        """Deprecated: use a RouteBuilder."""
-        builder = _make_builder(self)
-        builder.set_med(med)
-        return builder.freeze()
-
-    def with_local_pref(self, local_pref: int) -> "Route":
-        """Deprecated: use a RouteBuilder."""
-        builder = _make_builder(self)
-        builder.set_local_pref(local_pref)
-        return builder.freeze()
-
-    def with_next_hop(self, next_hop: Ipv4Address) -> "Route":
-        """Deprecated: use a RouteBuilder."""
-        builder = _make_builder(self)
-        builder.set_next_hop(next_hop)
-        return builder.freeze()
-
-    def with_as_prepended(self, asn: int, count: int = 1) -> "Route":
-        """Deprecated: use a RouteBuilder."""
-        builder = _make_builder(self)
-        builder.prepend_as(asn, count)
-        return builder.freeze()
-
-    def with_protocol(self, protocol: Protocol) -> "Route":
-        """Deprecated: use a RouteBuilder."""
-        builder = _make_builder(self)
-        builder.set_protocol(protocol)
-        return builder.freeze()
-
     def describe(self) -> str:
         """One-line rendering used in humanized counterexamples."""
         communities = (
@@ -372,17 +274,3 @@ class Route:
             f"communities {communities}, med {self.med}, "
             f"local-pref {self.local_pref}"
         )
-
-
-_RouteBuilder = None
-
-
-def _make_builder(route: "Route"):
-    # Imported lazily to break the route <-> routebuilder cycle without
-    # paying a sys.modules lookup on every with_* shim call.
-    global _RouteBuilder
-    if _RouteBuilder is None:
-        from .routebuilder import RouteBuilder
-
-        _RouteBuilder = RouteBuilder
-    return _RouteBuilder(route)

@@ -1,4 +1,4 @@
-"""The transactional, mutating side of the route datapath (v2).
+"""The transactional, mutating side of the route datapath.
 
 A :class:`RouteBuilder` is a scratch route: it is seeded from an
 immutable :class:`~repro.netmodel.route.Route`, accumulates any number
@@ -8,7 +8,7 @@ drives it transactionally — ``RouteMapClause`` set chains,
 ``PreparedRouteMap.apply``, and the whole export pipeline of
 ``bgpsim._advertise`` (export map → AS prepend → next-hop rewrite →
 import map) thread a single builder, so one session export allocates
-one ``Route`` where the v1 ``with_*`` path allocated one per attribute.
+one ``Route`` rather than one per changed attribute.
 
 Builders duck-type the readable surface of a ``Route`` (``prefix``,
 ``med``, ``local_pref``, ``origin``, ``protocol``, ``next_hop``,

@@ -22,7 +22,7 @@ from .aspath import AsPathAccessList
 from .communities import Community, CommunityList
 from .ip import Ipv4Address, PrefixRange
 from .prefixlist import PrefixList
-from .route import Protocol, Route, route_model_is_v2
+from .route import Protocol, Route
 from .routebuilder import RouteBuilder
 
 __all__ = [
@@ -282,21 +282,13 @@ class MatchProtocol(MatchCondition):
 class SetAction:
     """Base class for attribute transformations.
 
-    The primary API is transactional: :meth:`apply_to` records the
-    change on a shared :class:`~repro.netmodel.routebuilder.
-    RouteBuilder`, so a clause's whole set chain freezes one route.
-    :meth:`apply` is the deprecated piecemeal form (one builder and one
-    ``Route`` per action) kept as the v1 datapath for A/B benchmarks.
+    :meth:`apply_to` records the change on a shared
+    :class:`~repro.netmodel.routebuilder.RouteBuilder`, so a clause's
+    whole set chain freezes one route.
     """
 
     def apply_to(self, builder: RouteBuilder) -> None:
         raise NotImplementedError
-
-    def apply(self, route: Route) -> Route:
-        """Deprecated: one-action-one-copy (the v1 datapath)."""
-        builder = RouteBuilder(route)
-        self.apply_to(builder)
-        return builder.freeze()
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -412,7 +404,7 @@ class RouteMapClause:
             raise
 
     def apply_sets(self, builder: RouteBuilder) -> None:
-        """Record every set action on the shared builder (v2 datapath)."""
+        """Record every set action on the shared builder."""
         for set_action in self.sets:
             set_action.apply_to(builder)
 
@@ -476,18 +468,11 @@ class RouteMap:
                     return PolicyResult(Action.DENY, route, clause.seq)
                 if not clause.sets:
                     return PolicyResult(Action.PERMIT, route, clause.seq)
-                if route_model_is_v2():
-                    # Transactional: the whole set chain accumulates
-                    # into one builder, frozen exactly once.
-                    builder = RouteBuilder(route)
-                    clause.apply_sets(builder)
-                    return PolicyResult(
-                        Action.PERMIT, builder.freeze(), clause.seq
-                    )
-                transformed = route
-                for set_action in clause.sets:
-                    transformed = set_action.apply(transformed)
-                return PolicyResult(Action.PERMIT, transformed, clause.seq)
+                # Transactional: the whole set chain accumulates into
+                # one builder, frozen exactly once.
+                builder = RouteBuilder(route)
+                clause.apply_sets(builder)
+                return PolicyResult(Action.PERMIT, builder.freeze(), clause.seq)
         return PolicyResult(Action.DENY, route, None)
 
     def find_clause(
@@ -496,7 +481,7 @@ class RouteMap:
         """The first clause whose matches accept the route, or ``None``
         (the implicit deny).  ``route`` may be a builder; matching
         never mutates, so callers can decide *whether* a transaction is
-        needed before allocating one (v2's advertise fast path)."""
+        needed before allocating one (the advertise fast path)."""
         try:
             for clause in self.clauses:
                 if clause.fires(route, context):
@@ -510,7 +495,7 @@ class RouteMap:
             raise
 
     def apply(self, builder: RouteBuilder, context: PolicyContext) -> Action:
-        """Evaluate against a shared builder's current state (v2 API).
+        """Evaluate against a shared builder's current state.
 
         Match conditions read the builder's live attributes; on a
         permit, the firing clause's set chain is recorded on the same
@@ -649,14 +634,9 @@ class PreparedRouteMap:
                 return PolicyResult(Action.DENY, route, clause.seq)
             if not clause.sets:
                 return PolicyResult(Action.PERMIT, route, clause.seq)
-            if route_model_is_v2():
-                builder = RouteBuilder(route)
-                clause.apply_sets(builder)
-                return PolicyResult(Action.PERMIT, builder.freeze(), clause.seq)
-            transformed = route
-            for set_action in clause.sets:
-                transformed = set_action.apply(transformed)
-            return PolicyResult(Action.PERMIT, transformed, clause.seq)
+            builder = RouteBuilder(route)
+            clause.apply_sets(builder)
+            return PolicyResult(Action.PERMIT, builder.freeze(), clause.seq)
         return PolicyResult(Action.DENY, route, None)
 
     def find_clause(self, route: Route) -> Optional[RouteMapClause]:
@@ -678,7 +658,7 @@ class PreparedRouteMap:
             raise
 
     def apply(self, builder: RouteBuilder) -> Action:
-        """Transactional form of :meth:`evaluate` (v2 API).
+        """Transactional form of :meth:`evaluate`.
 
         Bound matchers read the builder's live attributes; a permit
         records the firing clause's sets on the same builder.  Mirrors

@@ -142,7 +142,7 @@ def _compare_on(
 def _transform_detail(original: Route, translated: Route) -> str:
     """Human-readable summary of attribute transform differences.
 
-    Route attributes are interned (route datapath v2), so the common
+    Route attributes are interned (see repro.netmodel.route), so the common
     no-difference case — both policies returned the very same canonical
     route, or attribute instances are shared — short-circuits on
     pointer checks before any set/tuple comparison runs.

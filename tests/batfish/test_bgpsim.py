@@ -4,6 +4,7 @@
 from repro.batfish import BgpSimulation
 from repro.cisco import generate_cisco, parse_cisco
 from repro.netmodel import Community, Prefix
+from repro.netmodel.aspath import AsPath
 
 
 def _parse_all(texts):
@@ -171,8 +172,10 @@ class TestBestPath:
         )
         high = RibEntry(
             route=Route(
-                prefix=Prefix.parse("9.0.0.0/8"), local_pref=200
-            ).with_as_prepended(1).with_as_prepended(2),
+                prefix=Prefix.parse("9.0.0.0/8"),
+                local_pref=200,
+                as_path=AsPath((2, 1)),
+            ),
             learned_from="y",
             origin_router="y",
         )
@@ -184,14 +187,12 @@ class TestBestPath:
         from repro.netmodel import Route
 
         short = RibEntry(
-            route=Route(prefix=Prefix.parse("9.0.0.0/8")).with_as_prepended(1),
+            route=Route(prefix=Prefix.parse("9.0.0.0/8"), as_path=AsPath((1,))),
             learned_from="x",
             origin_router="x",
         )
         long = RibEntry(
-            route=Route(prefix=Prefix.parse("9.0.0.0/8"))
-            .with_as_prepended(1)
-            .with_as_prepended(2),
+            route=Route(prefix=Prefix.parse("9.0.0.0/8"), as_path=AsPath((2, 1))),
             learned_from="y",
             origin_router="y",
         )

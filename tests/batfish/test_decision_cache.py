@@ -1,40 +1,32 @@
 """Decision-cache property and differential tests.
 
 The cached ``RibEntry.decision_key`` tuple must order entries exactly
-as the historical attribute cascade does (property-tested over
+as the reference simulator's attribute cascade
+(:func:`repro.fuzz.reference.prefers`) does (property-tested over
 randomized pairs), the ordering must be *total* on decision-relevant
-attributes (the ``"" < ""`` local-origination tie regression), and the
-cached/batched best-path selection must converge tie-heavy meshes —
-every router originating the same prefix — to the same RIBs as the
-legacy comparator, under full and incremental simulation alike.
+attributes (the ``"" < ""`` local-origination tie regression), and
+best-path selection must converge tie-heavy meshes — every router
+originating the same prefix — to the reference's RIBs, under full and
+incremental simulation alike.
 """
 
 import random
-
-import pytest
 
 from repro.batfish.bgpsim import (
     BgpSimulation,
     RibEntry,
     SimulationState,
-    _legacy_better,
     _same_entry,
-    decision_cache_enabled,
     rib_snapshots,
-    set_decision_cache,
 )
 from repro.cisco import parse_cisco
+from repro.fuzz.oracle import canonical_ribs
+from repro.fuzz.reference import prefers, simulate
 from repro.netmodel import Prefix
 from repro.netmodel.aspath import AsPath
 from repro.netmodel.route import Route, reset_route_stats, route_totals
 from repro.topology.families import generate_network
 from repro.topology.reference import build_reference_configs
-
-
-@pytest.fixture(autouse=True)
-def _restore_cache():
-    yield
-    set_decision_cache(True)
 
 
 PREFIX = Prefix.parse("10.0.0.0/16")
@@ -71,26 +63,26 @@ def _pairs(count=300, seed=7):
 
 
 class TestDecisionOrder:
-    def test_tuple_matches_legacy_comparator(self):
-        """One tuple ``<`` must agree with the attribute cascade on
-        every randomized pair, in both directions."""
+    def test_tuple_matches_reference_cascade(self):
+        """One tuple ``<`` must agree with the reference's attribute
+        cascade on every randomized pair, in both directions."""
         for a, b in _pairs():
-            assert (a.decision_key < b.decision_key) == _legacy_better(a, b)
-            assert (b.decision_key < a.decision_key) == _legacy_better(b, a)
+            assert (a.decision_key < b.decision_key) == prefers(a, b)
+            assert (b.decision_key < a.decision_key) == prefers(b, a)
 
     def test_better_antisymmetric_and_total(self):
         """For entries that differ in any decision-relevant attribute,
-        exactly one direction wins — under either comparator."""
-        for enabled in (True, False):
-            set_decision_cache(enabled)
-            for a, b in _pairs(seed=11):
-                if a.decision_key == b.decision_key:
-                    # Decision-indistinguishable: neither wins, and the
-                    # cascade agrees with the tuple about the tie.
-                    assert not BgpSimulation._better(a, b)
-                    assert not BgpSimulation._better(b, a)
-                else:
-                    assert BgpSimulation._better(a, b) != BgpSimulation._better(b, a)
+        exactly one direction wins — in the tuple and in the cascade."""
+        for a, b in _pairs(seed=11):
+            if a.decision_key == b.decision_key:
+                # Decision-indistinguishable: neither wins, and the
+                # cascade agrees with the tuple about the tie.
+                assert not BgpSimulation._better(a, b)
+                assert not BgpSimulation._better(b, a)
+                assert not prefers(a, b) and not prefers(b, a)
+            else:
+                assert BgpSimulation._better(a, b) != BgpSimulation._better(b, a)
+                assert prefers(a, b) != prefers(b, a)
 
     def test_local_origination_tie_is_ordered(self):
         """Two locally originated entries with equal attributes must be
@@ -98,10 +90,8 @@ class TestDecisionOrder:
         compared ``"" < ""`` and silently kept the incumbent."""
         a = RibEntry(route=Route(prefix=PREFIX), learned_from=None, origin_router="R1")
         b = RibEntry(route=Route(prefix=PREFIX), learned_from=None, origin_router="R2")
-        for enabled in (True, False):
-            set_decision_cache(enabled)
-            assert BgpSimulation._better(a, b)
-            assert not BgpSimulation._better(b, a)
+        assert BgpSimulation._better(a, b)
+        assert not BgpSimulation._better(b, a)
 
     def test_same_entry_agrees_with_decision_key(self):
         """_same_entry must never call indistinguishable a pair whose
@@ -109,13 +99,6 @@ class TestDecisionOrder:
         for a, b in _pairs(seed=13):
             if _same_entry(a, b):
                 assert a.decision_key == b.decision_key
-
-    def test_toggle_roundtrip(self):
-        assert decision_cache_enabled()
-        set_decision_cache(False)
-        assert not decision_cache_enabled()
-        set_decision_cache(True)
-        assert decision_cache_enabled()
 
 
 def _tie_mesh(extra=None):
@@ -149,41 +132,42 @@ def _tie_mesh(extra=None):
     }
 
 
+def _reference_ribs(configs):
+    return canonical_ribs(simulate(configs))
+
+
+def _production_ribs(simulation):
+    return canonical_ribs(
+        {name: simulation.rib(name) for name in simulation._configs}
+    )
+
+
 class TestTieHeavyMeshDifferential:
-    def test_cache_on_off_identical_ribs(self):
-        snapshots = {}
-        for enabled in (True, False):
-            set_decision_cache(enabled)
-            sim = BgpSimulation(_tie_mesh())
-            sim.run()
-            snapshots[enabled] = rib_snapshots(sim)
-        assert snapshots[True] == snapshots[False]
-        # Every router resolves the contested prefix to the same winner.
+    def test_tie_mesh_matches_reference(self):
+        sim = BgpSimulation(_tie_mesh())
+        sim.run()
+        assert _production_ribs(sim) == _reference_ribs(_tie_mesh())
+        # Every router resolves the contested prefix to a winner.
         winner = {
             name: rib[Prefix.parse("99.0.0.0/16")]
-            for name, rib in snapshots[True].items()
+            for name, rib in rib_snapshots(sim).items()
         }
         assert set(winner) == set(ROUTERS)
 
     def test_incremental_matches_full_on_ties(self):
         """Changing one router of an all-ties mesh must leave incremental
-        re-simulation and a fresh full run on identical RIBs, with the
-        decision cache on or off (the unified no-op install check keeps
-        dirty tracking identical across all four paths)."""
+        re-simulation, a fresh full run and the reference on identical
+        RIBs (the unified no-op install check keeps dirty tracking
+        identical across paths)."""
         changed = {"R2": (" network 98.0.0.0 mask 255.255.0.0",)}
-        snapshots = {}
-        for enabled in (True, False):
-            set_decision_cache(enabled)
-            state = SimulationState(_tie_mesh())
-            state.resimulate(_tie_mesh(changed), changed_routers=["R2"])
-            assert state.last_stats.mode == "incremental"
-            full = BgpSimulation(_tie_mesh(changed))
-            full.run()
-            snapshots[(enabled, "incremental")] = rib_snapshots(state._sim)
-            snapshots[(enabled, "full")] = rib_snapshots(full)
-        baseline = snapshots[(True, "full")]
-        for key, snapshot in snapshots.items():
-            assert snapshot == baseline, key
+        state = SimulationState(_tie_mesh())
+        state.resimulate(_tie_mesh(changed), changed_routers=["R2"])
+        assert state.last_stats.mode == "incremental"
+        full = BgpSimulation(_tie_mesh(changed))
+        full.run()
+        expected = _reference_ribs(_tie_mesh(changed))
+        assert _production_ribs(full) == expected
+        assert _production_ribs(state.simulation) == expected
 
 
 class TestReuseCounter:

@@ -20,7 +20,7 @@ def _toggle_hygiene():
     is restored here either way, so one leak cannot cascade — but the
     leaking test itself fails loudly.
     """
-    from repro.batfish.bgpsim import _plant_bug, _planted_bugs
+    from repro.fuzz.reference import _plant_bug, _planted_bugs
 
     yield
     leaked = toggles.deviations()

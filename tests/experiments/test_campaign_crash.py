@@ -7,16 +7,17 @@ crash is kept, a :class:`CampaignInterrupted` names the ``--resume``
 invocation, and the resumed campaign converges to artifacts
 byte-identical to an uninterrupted run.
 
-Crash injection is a pickle bomb: with ``--ship config`` the parent
-materializes the task payload, so a monkeypatched
-``_materialize_for_shipping`` can return an object whose unpickling in
-the worker SIGKILLs (or hangs) that process — deterministic under any
-multiprocessing start method, no signal/timing races.
+Crash injection is a pickle bomb: the victim grid scenario is swapped
+for a :class:`Scenario` subclass whose unpickling in the worker SIGKILLs
+(or hangs) that process — deterministic under any multiprocessing start
+method, no signal/timing races.
 """
 
 import os
 import signal
 import time
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import pytest
 
@@ -24,10 +25,10 @@ import repro.experiments.campaign as campaign_module
 from repro.experiments.campaign import (
     CampaignInterrupted,
     CampaignStalled,
+    Scenario,
     build_grid,
     fold_journal,
     run_campaign,
-    set_worker_shipping,
 )
 
 GRID_ARGS = dict(families=["chain", "star"], sizes=[4], seeds=2)
@@ -51,35 +52,39 @@ def _hang_self():
     time.sleep(600)
 
 
-class _Bomb:
-    """Unpickling this in a worker runs ``payload()`` there."""
+@dataclass(frozen=True)
+class _Bomb(Scenario):
+    """A grid scenario whose unpickling in a worker runs ``payload()``
+    there (the parent only reads its coordinates)."""
 
-    def __init__(self, payload):
-        self.payload = payload
+    payload: Callable[[], Any] = _kill_self
 
     def __reduce__(self):
         return (self.payload, ())
 
 
-@pytest.fixture(autouse=True)
-def _restore_coords():
-    yield
-    set_worker_shipping("coords")
-
-
 def _arm(monkeypatch, victim_key, payload):
-    """Ship a bomb for the victim scenario, real payloads otherwise."""
-    real = campaign_module._materialize_for_shipping
-    set_worker_shipping("config")
+    """Swap the victim scenario for a bomb in every grid built through
+    the campaign module (the CLI builds its grid there too)."""
+    real = campaign_module.build_grid
 
-    def materialize(scenario):
-        if scenario.key() == victim_key:
-            return _Bomb(payload)
-        return real(scenario)
+    def build_armed(*args, **kwargs):
+        return [
+            _Bomb(**vars(scenario), payload=payload)
+            if scenario.key() == victim_key
+            else scenario
+            for scenario in real(*args, **kwargs)
+        ]
 
-    monkeypatch.setattr(
-        campaign_module, "_materialize_for_shipping", materialize
-    )
+    monkeypatch.setattr(campaign_module, "build_grid", build_armed)
+
+
+def _armed_grid(monkeypatch, payload):
+    """The test grid with its last scenario armed.  The last scenario is
+    dequeued after earlier ones with workers=2, so rows exist in the
+    journal by the time it fires."""
+    _arm(monkeypatch, _grid()[-1].key(), payload)
+    return campaign_module.build_grid(**GRID_ARGS)
 
 
 class TestBrokenPool:
@@ -88,12 +93,9 @@ class TestBrokenPool:
     ):
         """The satellite fix: BrokenProcessPoolError no longer aborts
         the grid — journaled work is kept and the error is resumable."""
-        grid = _grid()
+        grid = _armed_grid(monkeypatch, _kill_self)
         journal = tmp_path / "crash.jsonl"
-        # The last grid scenario is dequeued after earlier ones with
-        # workers=2, so rows exist in the journal by the time it kills.
         victim = grid[-1].key()
-        _arm(monkeypatch, victim, _kill_self)
         with pytest.raises(CampaignInterrupted) as excinfo:
             run_campaign(grid, workers=2, journal_path=journal)
         assert "--resume" in str(excinfo.value)
@@ -105,14 +107,14 @@ class TestBrokenPool:
     def test_resume_after_crash_converges_byte_identically(
         self, tmp_path, monkeypatch
     ):
-        grid = _grid()
         journal = tmp_path / "crash.jsonl"
-        _arm(monkeypatch, grid[-1].key(), _kill_self)
         with pytest.raises(CampaignInterrupted):
-            run_campaign(grid, workers=2, journal_path=journal)
-        # Disarm: back to coordinate shipping, nothing monkeypatched
-        # matters because coords mode never calls materialize.
-        set_worker_shipping("coords")
+            run_campaign(
+                _armed_grid(monkeypatch, _kill_self),
+                workers=2,
+                journal_path=journal,
+            )
+        grid = _grid()  # disarmed: the real scenarios
         resumed = run_campaign(
             grid, workers=2, journal_path=journal, resume=True
         )
@@ -125,8 +127,7 @@ class TestBrokenPool:
     def test_crash_without_journal_explains_the_loss(
         self, tmp_path, monkeypatch
     ):
-        grid = _grid()
-        _arm(monkeypatch, grid[-1].key(), _kill_self)
+        grid = _armed_grid(monkeypatch, _kill_self)
         with pytest.raises(CampaignInterrupted) as excinfo:
             run_campaign(grid, workers=2)
         message = str(excinfo.value)
@@ -136,9 +137,8 @@ class TestBrokenPool:
     def test_interrupted_error_carries_progress(
         self, tmp_path, monkeypatch
     ):
-        grid = _grid()
+        grid = _armed_grid(monkeypatch, _kill_self)
         journal = tmp_path / "crash.jsonl"
-        _arm(monkeypatch, grid[-1].key(), _kill_self)
         with pytest.raises(CampaignInterrupted) as excinfo:
             run_campaign(grid, workers=2, journal_path=journal)
         error = excinfo.value
@@ -155,9 +155,8 @@ class TestStalledPool:
         per-wait timeout raises CampaignStalled (a CampaignInterrupted,
         so the same --resume guidance applies) and the pool is killed
         rather than joined."""
-        grid = _grid()
+        grid = _armed_grid(monkeypatch, _hang_self)
         journal = tmp_path / "stall.jsonl"
-        _arm(monkeypatch, grid[-1].key(), _hang_self)
         started = time.monotonic()
         with pytest.raises(CampaignStalled) as excinfo:
             run_campaign(grid, workers=2, journal_path=journal, timeout=3.0)
@@ -179,7 +178,6 @@ class TestStalledPool:
         _arm(monkeypatch, _grid()[-1].key(), _hang_self)
         code = main([
             "campaign", *grid_flags, "--workers", "2", "--timeout", "3",
-            "--ship", "config",  # the CLI resets ship mode; re-arm it
             "--journal", str(journal), "--json", "-",
         ])
         assert code == 3

@@ -1,16 +1,13 @@
-"""Worker-shipping A/B: coordinate-shipped campaigns == config-shipped.
+"""Worker shipping: campaigns ship Scenario coordinates, not configs.
 
-The campaign engine's default mode ships only Scenario coordinate
-tuples to pool workers and regenerates each network in-worker;
-``config`` mode materializes networks in the parent and pickles them
-into the task payload.  Generation is byte-deterministic, so the two
-modes must be observationally identical — same configs, same RIBs,
-same summary artifacts — at any worker count.
+The campaign engine ships only Scenario coordinate tuples to pool
+workers and regenerates each network in-worker.  That is sound only
+because generation is byte-deterministic: two materializations of the
+same coordinates give the same configs and RIBs, and a campaign's
+summary artifacts do not depend on the worker count.
 """
 
 import json
-
-import pytest
 
 from repro.batfish.bgpsim import BgpSimulation, rib_snapshots
 from repro.cisco import generate_cisco
@@ -19,29 +16,10 @@ from repro.experiments.campaign import (
     build_grid,
     run_campaign,
     run_scenario,
-    set_worker_shipping,
     topology_seed,
-    worker_shipping,
 )
 from repro.experiments.no_transit import materialize_network
 from repro.topology.reference import build_reference_configs
-
-
-@pytest.fixture(autouse=True)
-def _restore_coords():
-    yield
-    set_worker_shipping("coords")
-
-
-class TestShipModeToggle:
-    def test_roundtrip(self):
-        assert worker_shipping() == "coords"
-        set_worker_shipping("config")
-        assert worker_shipping() == "config"
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            set_worker_shipping("carrier-pigeon")
 
 
 class TestRegenerationDeterminism:
@@ -91,59 +69,11 @@ class TestRegenerationDeterminism:
         assert dicts[0] == dicts[1]
 
 
-class TestCampaignModeEquivalence:
-    GRID = ("star", "mesh")
-
-    def _summary(self, mode, workers):
-        set_worker_shipping(mode)
-        grid = build_grid(list(self.GRID), [5], seeds=1)
-        summary = run_campaign(grid, workers=workers)
-        return json.dumps(summary.to_dict(), sort_keys=True)
-
-    def test_modes_identical_serial(self):
-        assert self._summary("coords", 1) == self._summary("config", 1)
-
-    def test_modes_identical_at_four_workers(self):
-        baseline = self._summary("coords", 1)
-        assert self._summary("coords", 4) == baseline
-        assert self._summary("config", 4) == baseline
-
-
-class TestMaterializeErrorPolicy:
-    """Parent-side generation failures: expected bad coordinates become
-    a logged ``None`` (the worker journals the error row); anything
-    else is a real bug and must propagate, not be silently downgraded.
-    """
-
-    def test_bad_coordinates_return_none_and_log_once(self, caplog):
-        from repro.experiments.campaign import (
-            _SHIPPING_FAILURES_LOGGED,
-            _materialize_for_shipping,
-        )
-
-        # An unsatisfiable role spec for the family raises ValueError
-        # inside generation — the expected bad-coordinate shape.
-        scenario = Scenario(
-            family="random", size=4, seed=0, roles="c9i9h9"
-        )
-        _SHIPPING_FAILURES_LOGGED.discard(scenario.key())
-        with caplog.at_level("WARNING", logger="repro.experiments.campaign"):
-            assert _materialize_for_shipping(scenario) is None
-            assert _materialize_for_shipping(scenario) is None
-        mentions = [
-            record
-            for record in caplog.records
-            if scenario.key() in record.getMessage()
+class TestCampaignWorkerCounts:
+    def test_four_workers_match_serial(self):
+        grid = build_grid(["star", "mesh"], [5], seeds=1)
+        summaries = [
+            json.dumps(run_campaign(grid, workers=workers).to_dict(), sort_keys=True)
+            for workers in (1, 4)
         ]
-        assert len(mentions) == 1  # once per scenario key, not per call
-
-    def test_unexpected_exceptions_propagate(self, monkeypatch):
-        from repro.experiments import no_transit
-        from repro.experiments.campaign import _materialize_for_shipping
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("generation crashed")
-
-        monkeypatch.setattr(no_transit, "materialize_network", boom)
-        with pytest.raises(RuntimeError, match="generation crashed"):
-            _materialize_for_shipping(Scenario(family="star", size=4, seed=0))
+        assert summaries[0] == summaries[1]

@@ -43,7 +43,7 @@ def test_corpus_file_replays_green(path):
 def test_corpus_file_is_well_formed(path):
     record = load_repro(path)
     assert record["kind"] == "fuzz_repro"
-    assert record["check"] in ("semantic", "memo")
+    assert record["check"] in ("semantic", "memo", "crash")
     assert record["mismatch"]  # what the fuzzer saw at capture time
     assert set(record["combo"]) == set(record["baseline"])
 

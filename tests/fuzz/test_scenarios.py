@@ -1,14 +1,13 @@
-"""Scenario generation: determinism, serialization, combination covers."""
+"""Scenario generation: determinism, serialization, the combination matrix."""
 
 import json
 
+from repro.core import toggles
 from repro.fuzz.oracle import (
-    ALL_NEW,
     FUZZ_FACTORS,
-    LEGACY_BASELINE,
+    REFERENCE_TOGGLES,
     all_combos,
     memo_partner,
-    pairwise_combos,
 )
 from repro.fuzz.scenarios import FuzzScenario, scenario_at
 
@@ -45,35 +44,23 @@ class TestScenarioAt:
             assert rebuilt.to_json() == scenario.to_json()
 
 
+ALL_ON = {"incremental_simulation": True, "memoization": True}
+
+
 class TestCombos:
     def test_all_combos_is_the_full_matrix(self):
         combos = all_combos()
-        assert len(combos) == 2 ** len(FUZZ_FACTORS) == 32
-        assert len({json.dumps(c, sort_keys=True) for c in combos}) == 32
-        assert LEGACY_BASELINE in combos
-        assert ALL_NEW in combos
+        assert len(combos) == 2 ** len(FUZZ_FACTORS) == 4
+        assert len({json.dumps(c, sort_keys=True) for c in combos}) == 4
+        assert combos[0] == REFERENCE_TOGGLES
+        assert ALL_ON in combos
 
-    def test_pairwise_covers_every_factor_value_pair(self):
-        import itertools
+    def test_combos_cover_every_registered_toggle(self):
+        for combo in all_combos():
+            assert set(combo) == set(toggles.toggle_names())
 
-        chosen = pairwise_combos()
-        assert LEGACY_BASELINE in chosen
-        assert ALL_NEW in chosen
-        assert len(chosen) < 32  # it must actually be a subset
-        names = [name for name, _values in FUZZ_FACTORS]
-        values = dict(FUZZ_FACTORS)
-        covered = {
-            (a, combo[a], b, combo[b])
-            for combo in chosen
-            for a, b in itertools.combinations(names, 2)
-        }
-        for a, b in itertools.combinations(names, 2):
-            for va in values[a]:
-                for vb in values[b]:
-                    assert (a, va, b, vb) in covered, (a, va, b, vb)
-
-    def test_memo_partner_is_the_v1_twin(self):
-        assert memo_partner(ALL_NEW) == {**ALL_NEW, "route_model": "v1"}
-        assert memo_partner(LEGACY_BASELINE) is None
-        assert memo_partner({**ALL_NEW, "memoization": False}) is None
-        assert memo_partner({**ALL_NEW, "route_model": "v1"}) is None
+    def test_memo_partner_is_the_incremental_twin(self):
+        assert memo_partner(ALL_ON) == {**ALL_ON, "incremental_simulation": False}
+        assert memo_partner(REFERENCE_TOGGLES) is None
+        assert memo_partner({**ALL_ON, "memoization": False}) is None
+        assert memo_partner({**ALL_ON, "incremental_simulation": False}) is None

@@ -1,4 +1,4 @@
-"""RouteBuilder and the interned route datapath (v2)."""
+"""RouteBuilder and the interned route datapath."""
 
 import copy
 import pickle
@@ -13,9 +13,7 @@ from repro.netmodel import (
     Route,
     RouteBuilder,
     intern_communities,
-    route_model,
     route_totals,
-    set_route_model,
 )
 from repro.netmodel import Origin, RouterConfig, Vendor
 from repro.netmodel.aspath import AsPath
@@ -57,12 +55,11 @@ class TestBuilderTransactions:
         assert RouteBuilder(route).freeze() is route
         assert route_totals()["routes_reused"] == before + 1
 
-    def test_prepend_order_matches_with_as_prepended(self):
+    def test_prepend_order_is_most_recent_first(self):
         builder = RouteBuilder(_route())
         builder.prepend_as(100)
         builder.prepend_as(200)
         assert builder.freeze().as_path.asns == (200, 100)
-        assert _route().with_as_prepended(100).with_as_prepended(200).as_path.asns == (200, 100)
 
     def test_builder_duck_types_the_route_surface(self):
         builder = RouteBuilder(_route(communities=frozenset({Community(1, 1)})))
@@ -162,9 +159,12 @@ class TestTransactionalApply:
 
 class TestRouteSerialization:
     def test_route_round_trips_through_pickle(self):
-        route = _route(
-            communities=frozenset({Community(1, 1)})
-        ).with_as_prepended(9).with_med(4)
+        route = (
+            RouteBuilder(_route(communities=frozenset({Community(1, 1)})))
+            .prepend_as(9)
+            .set_med(4)
+            .freeze()
+        )
         clone = pickle.loads(pickle.dumps(route))
         assert clone == route
         assert hash(clone) == hash(route)
@@ -173,15 +173,15 @@ class TestRouteSerialization:
         assert clone.communities is route.communities
 
     def test_copy_returns_the_same_immutable_value(self):
-        route = _route().with_med(3)
+        route = _route(med=3)
         assert copy.copy(route) is route
         assert copy.deepcopy({"r": route})["r"] is route
 
 
 class TestInterningInvariants:
     def test_same_value_routes_share_as_path_instances(self):
-        one = _route().with_as_prepended(1).with_as_prepended(2)
-        two = _route().with_as_prepended(1).with_as_prepended(2)
+        one = RouteBuilder(_route()).prepend_as(1).prepend_as(2).freeze()
+        two = RouteBuilder(_route()).prepend_as(1).prepend_as(2).freeze()
         assert one.as_path is two.as_path
 
     def test_same_value_routes_share_community_instances(self):
@@ -211,27 +211,4 @@ class TestInterningInvariants:
     def test_route_hash_and_equality_are_structural(self):
         assert _route() == _route()
         assert hash(_route()) == hash(_route())
-        assert _route().with_med(1) != _route()
-
-
-class TestRouteModelToggle:
-    def test_default_is_v2(self):
-        assert route_model() == "v2"
-
-    def test_rejects_unknown_models(self):
-        with pytest.raises(ValueError):
-            set_route_model("v3")
-
-    def test_v1_and_v2_shims_agree(self):
-        try:
-            set_route_model("v1")
-            v1 = _route().with_med(9).with_as_prepended(4).with_community_added(
-                Community(1, 1)
-            )
-        finally:
-            set_route_model("v2")
-        v2 = _route().with_med(9).with_as_prepended(4).with_community_added(
-            Community(1, 1)
-        )
-        assert v1 == v2
-        assert hash(v1) == hash(v2)
+        assert _route(med=1) != _route()

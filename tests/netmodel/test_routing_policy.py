@@ -21,6 +21,7 @@ from repro.netmodel import (
     PrefixRange,
     Protocol,
     Route,
+    RouteBuilder,
     RouteMap,
     RouteMapClause,
     RouterConfig,
@@ -104,34 +105,40 @@ class TestMatchConditions:
         )
 
 
+def _apply(action, route):
+    builder = RouteBuilder(route)
+    action.apply_to(builder)
+    return builder.freeze()
+
+
 class TestSetActions:
     def test_set_community_additive(self):
         action = SetCommunity((Community(2, 2),), additive=True)
-        route = action.apply(_route(communities=frozenset({Community(1, 1)})))
+        route = _apply(action, _route(communities=frozenset({Community(1, 1)})))
         assert route.communities == {Community(1, 1), Community(2, 2)}
 
     def test_set_community_replacing(self):
         action = SetCommunity((Community(2, 2),), additive=False)
-        route = action.apply(_route(communities=frozenset({Community(1, 1)})))
+        route = _apply(action, _route(communities=frozenset({Community(1, 1)})))
         assert route.communities == {Community(2, 2)}
 
     def test_set_community_empty_noop(self):
         action = SetCommunity((), additive=False)
         route = _route(communities=frozenset({Community(1, 1)}))
-        assert action.apply(route) == route
+        assert _apply(action, route) == route
 
     def test_set_med(self):
-        assert SetMed(50).apply(_route()).med == 50
+        assert _apply(SetMed(50), _route()).med == 50
 
     def test_set_local_pref(self):
-        assert SetLocalPref(300).apply(_route()).local_pref == 300
+        assert _apply(SetLocalPref(300), _route()).local_pref == 300
 
     def test_set_next_hop(self):
         hop = Ipv4Address.parse("2.3.4.1")
-        assert SetNextHop(hop).apply(_route()).next_hop == hop
+        assert _apply(SetNextHop(hop), _route()).next_hop == hop
 
     def test_set_as_path_prepend(self):
-        route = SetAsPathPrepend(100, 2).apply(_route())
+        route = _apply(SetAsPathPrepend(100, 2), _route())
         assert route.as_path.asns == (100, 100)
 
     def test_describe_additive_mentions_keyword(self):

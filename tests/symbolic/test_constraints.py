@@ -61,7 +61,12 @@ class TestRouteConstraint:
         )
         good = _route(communities=frozenset({Community(1, 1)}))
         assert constraint.admits(good)
-        assert not constraint.admits(good.with_protocol(Protocol.OSPF))
+        assert not constraint.admits(
+            _route(
+                communities=frozenset({Community(1, 1)}),
+                protocol=Protocol.OSPF,
+            )
+        )
 
     def test_describe_any(self):
         assert RouteConstraint.any_route().describe() == "any route"
