@@ -34,8 +34,9 @@ artifacts) from an existing journal without running anything — repeat
 the flag to merge several campaigns into one cross-campaign summary
 (duplicate scenario keys resolved last-flag-wins); a ``--report``
 argument may also be a campaign-service directory, which expands to
-its manifest plus shard journals; ``--timeout SECONDS`` aborts a
-parallel run (resumably) when no scenario completes for that long;
+its manifest plus shard journals; ``--timeout SECONDS`` is a
+per-scenario progress deadline for parallel runs (serial runs cannot
+preempt a scenario);
 ``--no-incremental-sim`` disables warm incremental BGP re-simulation
 (for A/B comparisons).
 ``--trace out.json`` (``campaign`` and ``synthesize``) writes a
@@ -50,8 +51,8 @@ Prometheus ``/metrics`` text.
 ``--iterations`` or a wall-clock ``--budget 300s``), runs each under
 every toggle combination, asserts RIB/verdict/witness equality against
 the reference BGP simulator (and memo traffic between incremental
-twins), records crashes as findings, shrinks any divergence or crash
-to a minimal repro under ``--corpus``
+twins), records crashes — and workers that die or hang — as findings,
+shrinks any divergence or crash to a minimal repro under ``--corpus``
 (default ``tests/fuzz_corpus``), and journals progress for
 ``--resume``; ``fuzz --replay`` re-checks every corpus file.
 ``lint`` builds the reference configs for one topology cell
@@ -265,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "parallel runs only: if no scenario completes for SECONDS, "
-            "kill the pool and raise a resumable error instead of letting "
-            "one hung worker stall the grid forever"
+            "per-scenario progress deadline, parallel runs only: a scenario "
+            "with no result after SECONDS has its worker killed; the grid "
+            "runs on, then the run exits 3 with a resumable error"
         ),
     )
     campaign.add_argument(
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retry-limit",
         type=int,
         default=2,
-        help="resubmissions per work unit after a worker death",
+        help="resubmissions per work unit after a worker death or stall",
     )
     serve.add_argument(
         "--stall-timeout",
@@ -328,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=60.0,
         metavar="SECONDS",
         help=(
-            "kill and replace a worker silent for SECONDS with a unit in "
-            "flight (0 disables hang detection; hard death is always "
-            "detected)"
+            "kill and replace a worker whose in-flight unit yields no "
+            "scenario result for SECONDS (0 disables hang detection; "
+            "hard death is always detected)"
         ),
     )
 

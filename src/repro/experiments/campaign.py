@@ -4,15 +4,18 @@ The paper closes by noting that "much further testing in more complex
 use cases is needed".  This module industrializes that testing: it
 enumerates a scenario grid — topology family × size × seed ×
 behavior profile × IIP ablation — and executes every scenario through
-the full Verified Prompt Programming loop, optionally fanned out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` worker pool.  Each
-scenario is seeded deterministically from its own coordinates, so a
-campaign's results are identical whether it runs serially or on any
-number of workers.
+the full Verified Prompt Programming loop, inline or fanned out over
+the shared :class:`~repro.experiments.pool.WorkerPool`, one scenario in
+flight per worker.  Each scenario is seeded deterministically from its
+own coordinates, so a campaign's results are identical whether it runs
+serially or on any number of workers.
 
 Execution streams: as each scenario completes, its result is appended
 (and flushed) to a JSONL *campaign journal*, so a crashed or killed
-grid loses at most the scenarios in flight.  The final
+grid loses at most the scenarios in flight.  A scenario whose worker
+dies, or that makes no progress within ``timeout``, is killed and left
+out of the journal while the rest of the grid runs on; the campaign
+then raises a resumable :class:`CampaignInterrupted`.  The final
 :class:`CampaignSummary` is reconstructed by folding over the journal,
 and ``resume=True`` skips scenario keys the journal already holds — an
 interrupted campaign picks up where it left off and produces final
@@ -39,13 +42,11 @@ import math
 import time
 import traceback
 import zlib
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TextIO
 
-from ..core import DEFAULT_IIP_IDS
+from ..core import DEFAULT_IIP_IDS, toggles
 from ..llm import BehaviorProfile
 from ..obs import (
     counters_snapshot,
@@ -59,6 +60,8 @@ from ..obs import (
     write_trace,
 )
 from ..topology.families import FAMILIES
+from .journal import append_line, open_journal, read_records
+from .pool import Lost, WorkerPool
 
 __all__ = [
     "CampaignInterrupted",
@@ -73,6 +76,8 @@ __all__ = [
     "build_grid",
     "execute_scenario",
     "fold_journal",
+    "journal_header",
+    "journal_line",
     "run_campaign",
     "run_scenario",
     "scenario_seed",
@@ -553,7 +558,7 @@ def execute_scenario(scenario: Scenario, network=None) -> CompletedScenario:
 # -- the campaign journal ------------------------------------------------------
 
 
-def _journal_header(grid: Sequence[Scenario]) -> str:
+def journal_header(grid: Sequence[Scenario]) -> str:
     return json.dumps(
         {
             "kind": "campaign",
@@ -568,7 +573,7 @@ def _journal_header(grid: Sequence[Scenario]) -> str:
     )
 
 
-def _journal_line(completed: CompletedScenario) -> str:
+def journal_line(completed: CompletedScenario) -> str:
     row = asdict(completed.row)
     if row.get("lint_findings") is None:
         # v7 contract: the lint columns are absent — not null — on rows
@@ -596,37 +601,6 @@ def _journal_line(completed: CompletedScenario) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def _append(handle: TextIO, line: str) -> None:
-    handle.write(line + "\n")
-    handle.flush()
-
-
-def _repair_trailing_newline(path: Path) -> None:
-    """Terminate a line truncated by a crash so appended records start
-    on their own line (the fold already skips the malformed fragment)."""
-    with path.open("rb+") as handle:
-        handle.seek(0, 2)
-        if handle.tell() == 0:
-            return
-        handle.seek(-1, 2)
-        if handle.read(1) != b"\n":
-            handle.write(b"\n")
-
-
-def _open_journal(path: Path, append: bool) -> TextIO:
-    """Open a journal for writing.
-
-    Appending to an existing file *always* repairs a crash-truncated
-    final line first — the repair is part of opening, not a courtesy of
-    individual call sites, so no append path (resume, stale-grid
-    header, service shard re-attach) can write its first record onto
-    the fragment the previous crash left behind.
-    """
-    if append and path.exists():
-        _repair_trailing_newline(path)
-    return path.open("a" if append else "w")
-
-
 # Hoisted out of the fold loop: per-record dataclass reflection on a
 # million-row journal is pure overhead — the known field set only
 # changes when ScenarioResult itself does.
@@ -640,97 +614,80 @@ def _scan_journal(
     restricted to a grid's scenario keys) *and* the last header's grid
     keys — so callers needing both never read the file twice.
 
-    Tolerant by design: malformed lines (e.g. a line truncated by the
-    crash that the journal exists to survive) are skipped, and a key
-    journaled twice keeps its latest record.
+    Tolerant by design: :func:`~repro.experiments.journal.read_records`
+    skips malformed lines (e.g. a line truncated by the crash that the
+    journal exists to survive), and a key journaled twice keeps its
+    latest record.
     """
     completed: Dict[str, CompletedScenario] = {}
     header_keys: Optional[List[str]] = None
-    target = Path(path)
-    if not target.exists():
-        return completed, header_keys
     known = _RESULT_FIELDS
-    with target.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            kind = record.get("kind")
-            if kind == "campaign":
-                # Resuming a journal with a different grid appends a
-                # fresh header, so the *last* header describes the grid
-                # that owns the journal (None for legacy v1 headers).
-                candidate = record.get("keys")
-                header_keys = (
-                    candidate
-                    if isinstance(candidate, list)
-                    and all(isinstance(key, str) for key in candidate)
-                    else None
-                )
-                continue
-            if kind != "result":
-                continue
-            key = record.get("key")
-            row_fields = record.get("row")
-            if not isinstance(key, str) or not isinstance(row_fields, dict):
-                continue
-            if key_set is not None and key not in key_set:
-                continue
-            # Tolerate journals from other versions: older rows simply
-            # lack newer defaulted fields (e.g. pre-v5 ``trace``), newer
-            # rows may carry fields this build does not know.
-            raw_metrics = record.get("metrics")
-            metrics = (
-                {
-                    name: value
-                    for name, value in raw_metrics.items()
-                    if isinstance(name, str)
-                    and isinstance(value, (int, float))
-                }
-                if isinstance(raw_metrics, dict)
-                else {}
+    for record in read_records(path):
+        kind = record.get("kind")
+        if kind == "campaign":
+            # Resuming a journal with a different grid appends a
+            # fresh header, so the *last* header describes the grid
+            # that owns the journal (None for legacy v1 headers).
+            candidate = record.get("keys")
+            header_keys = (
+                candidate
+                if isinstance(candidate, list)
+                and all(isinstance(key, str) for key in candidate)
+                else None
             )
-            try:
-                completed[key] = CompletedScenario(
-                    key=key,
-                    row=ScenarioResult(**{
-                        name: value
-                        for name, value in row_fields.items()
-                        if name in known
-                    }),
-                    metrics=metrics,
-                    cache_hits=int(record.get("cache_hits") or 0),
-                    cache_misses=int(record.get("cache_misses") or 0),
-                    sim_full_runs=int(record.get("sim_full_runs") or 0),
-                    sim_incremental_runs=int(
-                        record.get("sim_incremental_runs") or 0
-                    ),
-                    sim_full_evals=int(record.get("sim_full_evals") or 0),
-                    sim_incremental_evals=int(
-                        record.get("sim_incremental_evals") or 0
-                    ),
-                    routes_built=int(record.get("routes_built") or 0),
-                    routes_reused=int(record.get("routes_reused") or 0),
-                )
-            except (TypeError, ValueError):
-                continue
+            continue
+        if kind != "result":
+            continue
+        key = record.get("key")
+        row_fields = record.get("row")
+        if not isinstance(key, str) or not isinstance(row_fields, dict):
+            continue
+        if key_set is not None and key not in key_set:
+            continue
+        # Tolerate journals from other versions: older rows simply
+        # lack newer defaulted fields (e.g. pre-v5 ``trace``), newer
+        # rows may carry fields this build does not know.
+        raw_metrics = record.get("metrics")
+        metrics = (
+            {
+                name: value
+                for name, value in raw_metrics.items()
+                if isinstance(name, str)
+                and isinstance(value, (int, float))
+            }
+            if isinstance(raw_metrics, dict)
+            else {}
+        )
+        try:
+            completed[key] = CompletedScenario(
+                key=key,
+                row=ScenarioResult(**{
+                    name: value
+                    for name, value in row_fields.items()
+                    if name in known
+                }),
+                metrics=metrics,
+                cache_hits=int(record.get("cache_hits") or 0),
+                cache_misses=int(record.get("cache_misses") or 0),
+                sim_full_runs=int(record.get("sim_full_runs") or 0),
+                sim_incremental_runs=int(
+                    record.get("sim_incremental_runs") or 0
+                ),
+                sim_full_evals=int(record.get("sim_full_evals") or 0),
+                sim_incremental_evals=int(
+                    record.get("sim_incremental_evals") or 0
+                ),
+                routes_built=int(record.get("routes_built") or 0),
+                routes_reused=int(record.get("routes_reused") or 0),
+            )
+        except (TypeError, ValueError):
+            continue
     return completed, header_keys
 
 
 def fold_journal(path: "Path | str") -> Dict[str, CompletedScenario]:
     """Reconstruct completed scenarios by folding over a journal."""
     return _scan_journal(path)[0]
-
-
-def _journal_grid_keys(path: "Path | str") -> Optional[List[str]]:
-    """The grid's scenario keys from the journal's *last* header."""
-    return _scan_journal(path)[1]
 
 
 def _summarize(
@@ -815,13 +772,6 @@ def summary_from_journals(paths: Sequence["Path | str"]) -> "CampaignSummary":
         total=len(ordered_keys),
         resumed=len(ordered),
     )
-
-
-def _fold_for_grid(
-    journal: Path, key_set: "set[str]"
-) -> Dict[str, CompletedScenario]:
-    """The journal's records restricted to this grid's scenario keys."""
-    return _scan_journal(journal, key_set)[0]
 
 
 def service_journals(path: "Path | str") -> List[Path]:
@@ -1207,12 +1157,12 @@ class CampaignSummary:
 
 
 class CampaignInterrupted(RuntimeError):
-    """A campaign stopped early, but every finished row is journaled.
+    """A campaign ended with scenarios missing, but every finished row
+    is journaled.
 
-    Raised instead of letting a raw :class:`BrokenProcessPool` (or a
-    stall) discard the run: the journal keeps everything that
-    completed, and the message tells the operator how to continue
-    (``--resume <journal>``).
+    Raised once the rest of the grid has drained when a worker died
+    mid-scenario: the journal keeps everything that completed, and the
+    message tells the operator how to continue (``--resume <journal>``).
     """
 
     def __init__(
@@ -1229,7 +1179,7 @@ class CampaignInterrupted(RuntimeError):
 
 
 class CampaignStalled(CampaignInterrupted):
-    """No scenario completed within the per-completion timeout."""
+    """A scenario made no progress within the per-scenario timeout."""
 
 
 def _interrupted_message(
@@ -1247,27 +1197,6 @@ def _interrupted_message(
     )
 
 
-def _shutdown_broken_pool(executor: ProcessPoolExecutor) -> None:
-    """Tear down a pool we are abandoning: kill any worker still
-    running (a hung worker would block a plain shutdown forever), then
-    reap.  The kill must come first — ``shutdown()`` drops the
-    executor's process references even with ``wait=False``, so there
-    is nothing left to kill afterwards."""
-    processes = dict(getattr(executor, "_processes", None) or {})
-    for process in processes.values():
-        try:
-            process.kill()
-        except Exception:  # already gone
-            pass
-    executor.shutdown(wait=True, cancel_futures=True)
-
-
-def _toggle_snapshot() -> Dict[str, object]:
-    from ..core import toggles
-
-    return toggles.snapshot()
-
-
 def _init_worker(
     toggle_values: Dict[str, object],
     tracing: bool = False,
@@ -1276,14 +1205,12 @@ def _init_worker(
     """Propagate the parent's optimization toggles into a pool worker.
 
     Module globals do not survive the spawn/forkserver start methods,
-    so the executor replays a full :func:`repro.core.toggles.snapshot`
-    — every registered toggle, so a toggle added to the registry is
-    propagated automatically.  ``tracing``
-    mirrors the parent's trace-capture flag so worker spans come home
-    in each :class:`CompletedScenario`.
+    so every worker incarnation replays a full
+    :func:`repro.core.toggles.snapshot` — every registered toggle, so a
+    toggle added to the registry is propagated automatically.
+    ``tracing`` mirrors the parent's trace-capture flag so worker spans
+    come home in each :class:`CompletedScenario`.
     """
-    from ..core import toggles
-
     toggles.apply(toggle_values)
     set_tracing(tracing)
     set_campaign_lint(lint)
@@ -1298,7 +1225,7 @@ def run_campaign(
     timeout: Optional[float] = None,
     trace_path: "Path | str | None" = None,
 ) -> CampaignSummary:
-    """Run every scenario, serially or over a process pool.
+    """Run every scenario, serially or over a worker pool.
 
     Per-scenario seeding is position-independent and summary rows are
     ordered by grid position, so ``workers`` only affects wall-clock.
@@ -1310,14 +1237,15 @@ def run_campaign(
     ``limit`` caps how many pending scenarios run (the deterministic
     way to interrupt a campaign mid-grid).
 
-    A worker crash (:class:`BrokenProcessPool`) no longer aborts the
-    grid with a raw traceback: every row journaled before the crash is
-    kept, and a :class:`CampaignInterrupted` naming ``--resume`` is
-    raised.  ``timeout`` bounds how long the parallel loop waits for
-    the *next* completion — one hung worker raises
-    :class:`CampaignStalled` (and is killed) instead of stalling the
-    grid forever.  The serial path runs scenarios inline and cannot
-    preempt them, so ``timeout`` only applies with ``workers > 1``.
+    ``timeout`` is a per-scenario progress deadline: a scenario that
+    yields no result within ``timeout`` seconds of its dispatch is a
+    hang, and its worker is killed and replaced.  A scenario whose
+    worker dies (SIGKILL, OOM, C-level crash) or hangs is not retried
+    (scenarios are deterministic); the rest of the grid runs on, and
+    then :class:`CampaignInterrupted` — :class:`CampaignStalled` when a
+    hang was among the losses — names the ``--resume`` invocation.  The
+    serial path runs scenarios inline and cannot preempt them, so
+    ``timeout`` only applies with ``workers > 1``.
 
     ``trace_path`` enables span tracing for the run (parent *and*
     workers) and writes one merged Chrome trace-event JSON file there —
@@ -1365,79 +1293,50 @@ def run_campaign(
     if journal is not None:
         appending = resume and journal_exists
         stale_header = appending and header_keys != keys
-        handle = _open_journal(journal, append=appending)
+        handle = open_journal(journal, append=appending)
         if not appending or stale_header:
             # Fresh journals get a header; resuming under a *different*
             # grid appends a new one, so offline --report reconstruction
             # always orders by the grid that last owned the journal.
-            _append(handle, _journal_header(grid))
+            append_line(handle, journal_header(grid))
+    lost: List[Lost] = []
+    pool_size = min(workers, len(pending))
     try:
         # Workers receive nothing but the Scenario coordinates and
         # regenerate each network locally (generation is byte-
         # deterministic), so task payloads stay a few hundred bytes.
-        if workers <= 1 or len(pending) <= 1:
-            for scenario in pending:
-                record = execute_scenario(scenario)
+        # The task and initializer are read from this module at call
+        # time, so callers may swap either in before running.
+        with WorkerPool(
+            execute_scenario,
+            pool_size if pool_size > 1 else 0,
+            initializer=_init_worker,
+            initargs=(toggles.snapshot(), tracing, _LINT_ENABLED),
+            deadline_s=timeout,
+        ) as pool:
+            units = ((scenario.key(), [scenario]) for scenario in pending)
+            for event in pool.run(units):
+                if isinstance(event, Lost):
+                    lost.append(event)
+                    continue
+                record = event.value
                 completed[record.key] = record
                 trace_events.extend(record.spans)
                 if handle is not None:
-                    _append(handle, _journal_line(record))
-        else:
-            executor = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(_toggle_snapshot(), tracing, _LINT_ENABLED),
+                    append_line(handle, journal_line(record))
+        if lost:
+            hung = any(event.reason == "hang" for event in lost)
+            causes = "; ".join(f"{e.tag}: {e.detail}" for e in lost[:3])
+            raise (CampaignStalled if hung else CampaignInterrupted)(
+                _interrupted_message(
+                    f"{len(lost)} scenario(s) lost with their worker "
+                    f"({causes}{'; ...' if len(lost) > 3 else ''})",
+                    journal, len(completed), len(grid),
+                ),
+                journal=journal,
+                completed=len(completed),
+                total=len(grid),
             )
-            abandoned = False
-            try:
-                outstanding = {
-                    executor.submit(execute_scenario, scenario)
-                    for scenario in pending
-                }
-                while outstanding:
-                    done, outstanding = wait(
-                        outstanding,
-                        timeout=timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if not done:
-                        raise CampaignStalled(
-                            _interrupted_message(
-                                f"no scenario completed within "
-                                f"{timeout:g}s (hung worker?)",
-                                journal, len(completed), len(grid),
-                            ),
-                            journal=journal,
-                            completed=len(completed),
-                            total=len(grid),
-                        )
-                    for future in done:
-                        # A worker that died hard (SIGKILL, OOM, C-level
-                        # crash) surfaces here as BrokenProcessPool.
-                        record = future.result()
-                        completed[record.key] = record
-                        trace_events.extend(record.spans)
-                        if handle is not None:
-                            _append(handle, _journal_line(record))
-            except BrokenProcessPool as exc:
-                abandoned = True
-                raise CampaignInterrupted(
-                    _interrupted_message(
-                        f"campaign worker pool broke ({exc})",
-                        journal, len(completed), len(grid),
-                    ),
-                    journal=journal,
-                    completed=len(completed),
-                    total=len(grid),
-                ) from exc
-            except CampaignStalled:
-                abandoned = True
-                raise
-            finally:
-                if abandoned:
-                    _shutdown_broken_pool(executor)
-                else:
-                    executor.shutdown(wait=True)
     finally:
         if handle is not None:
             handle.close()
@@ -1450,7 +1349,7 @@ def run_campaign(
 
     if journal is not None:
         # The journal, not in-process state, is the source of truth.
-        completed = _fold_for_grid(journal, key_set)
+        completed = _scan_journal(journal, key_set)[0]
     ordered = [completed[key] for key in keys if key in completed]
     return _summarize(
         ordered,

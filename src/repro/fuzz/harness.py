@@ -7,24 +7,35 @@ divergence — or the first crash, on either side.  A finding is
 delta-debugged down to a minimal scenario and returned as a
 ready-to-serialize corpus record.
 
-Results stream through the campaign's JSONL journal substrate: every
-finished iteration is appended and flushed, ``resume=True`` folds the
-journal first and re-runs only missing indices, and the final summary
-is rebuilt by folding — so an interrupted nightly fuzz run continues
-where it stopped, at any worker count, with a byte-identical outcome.
+Iterations run on the shared :class:`~repro.experiments.pool.WorkerPool`
+(one index in flight per worker; inline with ``workers <= 1``).  An
+index whose worker dies, or that yields no result within
+:data:`FUZZ_DEADLINE_S`, is itself a finding: an ``ok=False`` row with
+check ``"killed"`` or ``"hang"``.  Those two are not shrunk — a
+shrinking step could hang or die just the same — so they carry no
+corpus record.
+
+Results stream through the shared JSONL journal substrate
+(:mod:`repro.experiments.journal`): every finished iteration is
+appended and flushed, ``resume=True`` folds the journal first and
+re-runs only missing indices, and the final summary is rebuilt by
+folding — so an interrupted nightly fuzz run continues where it
+stopped, at any worker count, with a byte-identical outcome.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core import toggles
+from ..experiments.journal import append_line, open_journal, read_records
+from ..experiments.pool import Lost, WorkerPool
 from .corpus import make_record, write_repro
 from .oracle import (
     REFERENCE_TOGGLES,
@@ -44,6 +55,7 @@ from .scenarios import FuzzScenario, scenario_at
 from .shrink import shrink_scenario
 
 __all__ = [
+    "FUZZ_DEADLINE_S",
     "FUZZ_JOURNAL_VERSION",
     "FuzzConfig",
     "FuzzIterationResult",
@@ -63,6 +75,15 @@ __all__ = [
 # reference simulator: the header drops ``pairs`` and rows gain the
 # ``crash`` check.  Folding stays tolerant in both directions.
 FUZZ_JOURNAL_VERSION = 3
+
+# Seconds one pooled index may run before it is journaled as a hang.
+# Far above the measured cost of an iteration on a 2-vCPU x86-64 VM
+# (0.9 s clean, 1.0 s with a finding and its shrink), so only a genuine
+# hang reaches it.
+FUZZ_DEADLINE_S = 120.0
+
+# Budget mode stops claiming indices here even if time is left.
+_BUDGET_INDEX_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -92,7 +113,9 @@ class FuzzIterationResult:
     index: int
     key: str
     ok: bool
-    check: Optional[str] = None  # "semantic" | "memo" | "crash" when not ok
+    # When not ok: "semantic" | "memo" | "crash", or "killed" | "hang"
+    # when the index's worker died or missed FUZZ_DEADLINE_S.
+    check: Optional[str] = None
     combo: Optional[Dict[str, Any]] = None
     mismatch: Optional[str] = None
     repro: Optional[dict] = None  # shrunk corpus record, ready to write
@@ -108,13 +131,6 @@ class FuzzIterationResult:
     recall_gap: Optional[bool] = None
 
 
-def _apply_planted(planted: Sequence[str]) -> None:
-    from .reference import _plant_bug
-
-    for name in planted:
-        _plant_bug(name, True)
-
-
 @contextmanager
 def _planted_scope(planted: Sequence[str]):
     """Plant the named bugs for the duration of the block, restoring the
@@ -123,7 +139,8 @@ def _planted_scope(planted: Sequence[str]):
     from .reference import _KNOWN_PLANTED_BUGS, _plant_bug, _planted_bugs
 
     before = _planted_bugs()
-    _apply_planted(planted)
+    for name in planted:
+        _plant_bug(name, True)
     try:
         yield
     finally:
@@ -338,41 +355,27 @@ def fold_fuzz_journal(path: "Path | str") -> Dict[int, FuzzIterationResult]:
     rules as the campaign fold: malformed lines skipped, latest record
     per index wins)."""
     results: Dict[int, FuzzIterationResult] = {}
-    target = Path(path)
-    if not target.exists():
-        return results
-    with target.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if (
-                not isinstance(record, dict)
-                or record.get("kind") != "fuzz_result"
-            ):
-                continue
-            index = record.get("index")
-            key = record.get("key")
-            if not isinstance(index, int) or not isinstance(key, str):
-                continue
-            results[index] = FuzzIterationResult(
-                index=index,
-                key=key,
-                ok=bool(record.get("ok")),
-                check=record.get("check"),
-                combo=record.get("combo"),
-                mismatch=record.get("mismatch"),
-                repro=record.get("repro"),
-                error=record.get("error"),
-                broken=record.get("broken"),
-                lint_findings=record.get("lint_findings"),
-                lint_high=record.get("lint_high"),
-                recall_gap=record.get("recall_gap"),
-            )
+    for record in read_records(path):
+        if record.get("kind") != "fuzz_result":
+            continue
+        index = record.get("index")
+        key = record.get("key")
+        if not isinstance(index, int) or not isinstance(key, str):
+            continue
+        results[index] = FuzzIterationResult(
+            index=index,
+            key=key,
+            ok=bool(record.get("ok")),
+            check=record.get("check"),
+            combo=record.get("combo"),
+            mismatch=record.get("mismatch"),
+            repro=record.get("repro"),
+            error=record.get("error"),
+            broken=record.get("broken"),
+            lint_findings=record.get("lint_findings"),
+            lint_high=record.get("lint_high"),
+            recall_gap=record.get("recall_gap"),
+        )
     return results
 
 
@@ -414,13 +417,15 @@ class FuzzSummary:
                 )
             elif not result.ok:
                 what = (
-                    "crash" if result.check == "crash"
+                    result.check
+                    if result.check in ("crash", "killed", "hang")
                     else f"{result.check} mismatch"
                 )
+                if result.combo is not None:
+                    what += f" under {result.combo}"
                 lines.append(
                     f"  [{result.index:>4}] FAIL {result.key}\n"
-                    f"         {what} under "
-                    f"{result.combo}:\n         {result.mismatch}"
+                    f"         {what}:\n         {result.mismatch}"
                 )
             if result.recall_gap:
                 lines.append(
@@ -441,16 +446,6 @@ class FuzzSummary:
         return "\n".join(lines)
 
 
-def _init_fuzz_worker(
-    toggle_values: Dict[str, Any], planted: Sequence[str]
-) -> None:
-    """Propagate the parent's toggle configuration and any planted-bug
-    flags into a pool worker (start methods other than fork do not
-    inherit module globals)."""
-    toggles.apply(toggle_values)
-    _apply_planted(planted)
-
-
 def run_fuzz(
     config: FuzzConfig,
     journal_path: "Path | str | None" = None,
@@ -460,16 +455,29 @@ def run_fuzz(
 
     With ``iterations`` set the run is exactly that many indices (the
     deterministic mode the corpus tests rely on); with ``budget_s`` the
-    loop keeps claiming indices until the budget is spent.  Corpus
-    records are written by the parent only, so worker count never
-    changes what lands on disk.
+    loop keeps claiming indices, one per free worker, until the budget
+    is spent.  Corpus records are written by the parent only, so worker
+    count never changes what lands on disk.  A killed or hung index is
+    not retried: iterations are deterministic, so it would die again.
     """
-    from ..experiments.campaign import _append, _open_journal
-
     if config.iterations is None and config.budget_s is None:
         raise ValueError("FuzzConfig needs iterations or budget_s")
     with _planted_scope(config.planted):
         return _run_fuzz_loop(config, journal_path, resume)
+
+
+def _lost_finding(fuzz_seed: int, lost: Lost) -> FuzzIterationResult:
+    """The ``ok=False`` row for an index whose worker died or hung."""
+    detail = lost.detail
+    if lost.reason == "killed":
+        detail += f" before the {FUZZ_DEADLINE_S:g}s deadline"
+    return FuzzIterationResult(
+        index=lost.tag,
+        key=scenario_at(fuzz_seed, lost.tag).key(),
+        ok=False,
+        check=lost.reason,
+        mismatch=f"index {lost.tag}: {detail}",
+    )
 
 
 def _run_fuzz_loop(
@@ -477,107 +485,62 @@ def _run_fuzz_loop(
     journal_path: "Path | str | None",
     resume: bool,
 ) -> FuzzSummary:
-    from ..experiments.campaign import _append, _open_journal
-
     started = time.perf_counter()
     combos = all_combos()
     journal = Path(journal_path) if journal_path is not None else None
     if resume and journal is None:
         raise ValueError("resume=True requires a journal_path")
     completed: Dict[int, FuzzIterationResult] = {}
-    if resume and journal.exists():
+    if resume:
         completed = fold_fuzz_journal(journal)
     resumed = len(completed)
 
     handle = None
     if journal is not None:
         appending = resume and journal.exists()
-        # _open_journal repairs a crash-truncated final line whenever
+        # open_journal repairs a crash-truncated final line whenever
         # it appends, so the first resumed record never lands on the
         # fragment the crash left behind.
-        handle = _open_journal(journal, append=appending)
+        handle = open_journal(journal, append=appending)
         if not appending:
-            _append(handle, _fuzz_header(config, len(combos)))
+            append_line(handle, _fuzz_header(config, len(combos)))
 
-    def budget_left() -> bool:
-        return (
-            config.budget_s is None
-            or time.perf_counter() - started < config.budget_s
-        )
-
-    def record_result(result: FuzzIterationResult) -> None:
-        completed[result.index] = result
-        if handle is not None:
-            _append(handle, _fuzz_line(result))
-
-    try:
-        if config.workers <= 1:
-            index = 0
-            ran = 0
-            while budget_left() and (
-                config.iterations is None or ran < config.iterations
+    def claims():
+        """Pending indices, claimed lazily so budget mode checks the
+        clock each time a worker frees up."""
+        limit = config.iterations
+        for index in range(_BUDGET_INDEX_LIMIT if limit is None else limit):
+            if (
+                config.budget_s is not None
+                and time.perf_counter() - started >= config.budget_s
             ):
-                if config.iterations is not None and index >= config.iterations:
-                    break
-                if index not in completed:
-                    record_result(
-                        run_fuzz_iteration(
-                            config.fuzz_seed,
-                            index,
-                            combos=combos,
-                            planted=config.planted,
-                        )
-                    )
-                    ran += 1
-                index += 1
-                if config.iterations is None and index >= 1_000_000:
-                    break  # budget mode backstop
-        else:
-            with ProcessPoolExecutor(
-                max_workers=config.workers,
-                initializer=_init_fuzz_worker,
-                initargs=(toggles.snapshot(), config.planted),
-            ) as executor:
-                if config.iterations is not None:
-                    pending = [
-                        index
-                        for index in range(config.iterations)
-                        if index not in completed
-                    ]
-                    futures = [
-                        executor.submit(
-                            run_fuzz_iteration,
-                            config.fuzz_seed,
-                            index,
-                            combos=combos,
-                            planted=config.planted,
-                        )
-                        for index in pending
-                    ]
-                    for future in as_completed(futures):
-                        record_result(future.result())
-                else:
-                    # Budget mode: submit in waves so the clock is
-                    # checked between batches.
-                    index = 0
-                    while budget_left():
-                        wave = []
-                        while len(wave) < config.workers * 2:
-                            if index not in completed:
-                                wave.append(index)
-                            index += 1
-                        futures = [
-                            executor.submit(
-                                run_fuzz_iteration,
-                                config.fuzz_seed,
-                                claim,
-                                combos=combos,
-                                planted=config.planted,
-                            )
-                            for claim in wave
-                        ]
-                        for future in as_completed(futures):
-                            record_result(future.result())
+                return
+            if index not in completed:
+                yield index, [index]
+
+    task = partial(
+        run_fuzz_iteration,
+        config.fuzz_seed,
+        combos=combos,
+        planted=config.planted,
+    )
+    try:
+        with WorkerPool(
+            task,
+            config.workers if config.workers > 1 else 0,
+            initializer=toggles.apply,
+            initargs=(toggles.snapshot(),),
+            deadline_s=FUZZ_DEADLINE_S,
+        ) as pool:
+            for event in pool.run(claims()):
+                result = (
+                    _lost_finding(config.fuzz_seed, event)
+                    if isinstance(event, Lost)
+                    else event.value
+                )
+                completed[result.index] = result
+                if handle is not None:
+                    append_line(handle, _fuzz_line(result))
     finally:
         if handle is not None:
             handle.close()

@@ -186,10 +186,9 @@ class MetricsRegistry:
         with self._lock:
             return list(self._gauges.values())
 
-    # Snapshot/reset hold the creation lock: a worker's heartbeat thread
-    # snapshots while the main thread may be registering instruments
-    # (first span of a phase, a new memo cache), and iterating a dict
-    # during insertion raises.
+    # Snapshot/reset hold the creation lock: one thread may snapshot
+    # while another is registering instruments (first span of a phase,
+    # a new memo cache), and iterating a dict during insertion raises.
 
     def snapshot(self) -> Dict[str, float]:
         """Every series (counters, gauges, timer triples), zeros included."""

@@ -3,13 +3,13 @@
 The batch CLI (``repro campaign``) runs one grid and exits; this
 package keeps a pool of **persistent** worker processes warm and
 schedules any number of submitted grids onto them.  An asyncio
-scheduler shards each grid into work units, feeds them to workers over
-``multiprocessing`` queues (workers keep their memoization caches and
-warm per-topology simulation states across units *and* campaigns),
-detects worker death via liveness checks and heartbeats, resubmits a
-dead worker's in-flight unit under a retry budget, and journals every
-finished scenario to per-worker **shard journals** in the campaign's
-state directory.  The shards merge through the exact same
+scheduler shards each grid into work units and runs them on the shared
+:class:`~repro.experiments.pool.WorkerPool` (workers keep their
+memoization caches and warm per-topology simulation states across
+units *and* campaigns).  A unit whose worker dies, or that makes no
+progress within the stall deadline, is resubmitted under a retry
+budget; every finished scenario is journaled to per-worker **shard
+journals** in the campaign's state directory.  The shards merge through the exact same
 last-write-wins fold as the batch engine (``repro campaign --report
 <campaign dir>``), so a grid that survived worker SIGKILLs and full
 service restarts renders artifacts byte-identical to an uninterrupted

@@ -3,7 +3,7 @@
 Routes::
 
     GET  /healthz                 service liveness, uptime, version, and
-                                  per-worker heartbeat/metric summaries
+                                  per-worker progress-age/metric summaries
     GET  /metrics                 Prometheus text exposition (worker
                                   liveness/queue gauges + the campaigns'
                                   exactly-once folded registry counters)

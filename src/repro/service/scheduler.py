@@ -1,27 +1,31 @@
 """The asyncio scheduler: shards, persistent workers, retries, state dir.
 
-:class:`CampaignService` owns a fixed set of worker *slots*.  Each slot
-is one persistent OS process (spawn start method — fork from an
-asyncio/multi-threaded parent inherits locked queue-feeder locks) with
-its own task queue; all slots share one result queue.  The scheduler's
-pump loop drains results, checks worker liveness and heartbeat
-freshness, and dispatches pending work units to idle slots — one
-in-flight unit per worker, so a dead worker forfeits exactly one unit
-and the scheduler knows which.
+:class:`CampaignService` drives one
+:class:`~repro.experiments.pool.WorkerPool` of persistent ``spawn``
+workers (fork from an asyncio/multi-threaded parent is unsafe).  Each
+campaign grid is cut into contiguous *work units*; a worker runs one
+unit at a time, so a dead or hung worker forfeits exactly one unit and
+the scheduler knows which.  The event loop polls the pool without
+blocking, journals every scenario result as it arrives, and dispatches
+pending units to idle workers.  A unit whose worker dies, or that
+yields no scenario result within ``stall_timeout_s`` (measured by the
+parent — a hung worker cannot fake progress), comes back from the pool
+and is resubmitted under the retry budget, skipping the scenarios it
+already journaled.
 
 Everything durable lives in the state directory::
 
     <state_dir>/<campaign id>/spec.json        submission + materialized grid
     <state_dir>/<campaign id>/manifest.jsonl   header-only journal (grid keys)
-    <state_dir>/<campaign id>/shard-NN.jsonl   one v6 journal per worker slot
+    <state_dir>/<campaign id>/shard-NN.jsonl   one journal per worker slot
 
-Workers append finished scenarios to their shard before reporting
-them, so the scheduler's in-memory progress is always a lower bound on
-what is journaled.  On startup the service folds every campaign's
-shards and resubmits only the missing scenarios (partially-finished
-units carry a skip set) — a grid survives worker SIGKILLs *and* full
-service restarts, and ``repro campaign --report <campaign dir>``
-renders artifacts byte-identical to an uninterrupted batch run.
+A scenario's journal line is appended and flushed to its worker slot's
+shard *before* the scheduler counts it done, so in-memory progress is
+never ahead of the disk.  On startup the service folds every campaign's
+shards and resubmits only the missing scenarios — a grid survives
+worker SIGKILLs, hangs *and* full service restarts, and ``repro
+campaign --report <campaign dir>`` renders artifacts byte-identical to
+an uninterrupted batch run.
 """
 
 from __future__ import annotations
@@ -29,27 +33,31 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import multiprocessing
-import queue as queue_module
+import os
+import signal
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..core import toggles
 from ..experiments.campaign import (
     CampaignSummary,
     CompletedScenario,
     Scenario,
-    _append,
-    _journal_header,
-    _open_journal,
-    _scan_journal,
+    execute_scenario,
+    fold_journal,
+    journal_header,
+    journal_line,
+    service_journals,
     summary_from_journals,
 )
+from ..experiments.journal import append_line, open_journal
+from ..experiments.pool import Lost, Result, WorkerPool
+from ..obs import counters_snapshot
 from ..obs import merge as metrics_merge
 from ..obs import render_prometheus, sanitize_metric_name
 from .spec import CampaignSpec, shard_scenarios, spec_fingerprint
-from .worker import worker_main
 
 __all__ = ["CampaignService", "CampaignState", "WorkUnit"]
 
@@ -57,6 +65,21 @@ _LOGGER = logging.getLogger(__name__)
 
 SPEC_FILENAME = "spec.json"
 MANIFEST_FILENAME = "manifest.jsonl"
+# Seconds the event loop sleeps between non-blocking pool polls.
+_POLL_S = 0.02
+
+
+def _run_scenario(
+    item: Tuple[Scenario, bool]
+) -> Tuple[CompletedScenario, Dict[str, float]]:
+    """Worker side: one scenario, plus the worker's cumulative registry
+    snapshot for ``/healthz``.  A ``chaos`` item SIGKILLs the worker
+    first — dying exactly the way the scheduler must survive: no
+    cleanup, no goodbye, mid-unit."""
+    scenario, chaos = item
+    if chaos:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return execute_scenario(scenario), counters_snapshot()
 
 
 def _metric_summary(metrics: Dict[str, float]) -> Dict[str, Any]:
@@ -90,7 +113,7 @@ class WorkUnit:
     state: str = "pending"  # pending | running | done | failed
     attempts: int = 0  # dispatches so far (1 = first run, no retry yet)
     done_keys: Set[str] = field(default_factory=set)
-    slot: Optional[int] = None
+    slot: Optional[int] = None  # the worker running it
 
     @property
     def keys(self) -> List[str]:
@@ -160,42 +183,6 @@ class CampaignState:
         }
 
 
-class _Slot:
-    """One persistent worker: process + private task queue + liveness."""
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.process: Optional[multiprocessing.process.BaseProcess] = None
-        self.tasks = None  # per-incarnation task queue
-        self.unit: Optional[Tuple[str, int]] = None  # (campaign id, unit idx)
-        self.last_seen: float = 0.0
-        self.generation: int = 0  # respawn count, for status/debugging
-        # Latest cumulative registry snapshot this incarnation shipped on
-        # a heartbeat (merged into the service's retired pool on respawn).
-        self.metrics: Dict[str, float] = {}
-
-    @property
-    def heartbeat_age_s(self) -> float:
-        return max(0.0, time.monotonic() - self.last_seen)
-
-    @property
-    def queue_depth(self) -> int:
-        if self.tasks is None:
-            return 0
-        try:
-            return self.tasks.qsize()
-        except (NotImplementedError, OSError):
-            return 0
-
-    @property
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-    @property
-    def idle(self) -> bool:
-        return self.alive and self.unit is None
-
-
 class CampaignService:
     """The long-running scheduler behind ``repro serve``."""
 
@@ -204,81 +191,61 @@ class CampaignService:
         state_dir: "Path | str",
         workers: int = 2,
         retry_limit: int = 2,
-        heartbeat_s: float = 0.5,
         stall_timeout_s: Optional[float] = 60.0,
-        poll_s: float = 0.02,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.state_dir = Path(state_dir)
         self.workers = workers
         self.retry_limit = retry_limit
-        self.heartbeat_s = heartbeat_s
         self.stall_timeout_s = stall_timeout_s
-        self.poll_s = poll_s
         self.started_at = time.monotonic()
-        self._ctx = multiprocessing.get_context("spawn")
-        self._results = self._ctx.Queue()
-        self._slots = [_Slot(index) for index in range(workers)]
-        # Cumulative snapshots of dead worker incarnations, so respawns
-        # never lose metric history (heartbeat-sourced, best-effort).
-        self._retired_metrics: Dict[str, float] = {}
+        self._pool: Optional[WorkerPool] = None
+        # Latest cumulative registry snapshot per worker slot, shipped
+        # with each scenario result (dropped when its worker is lost).
+        self._worker_snapshots: Dict[int, Dict[str, float]] = {}
         self._campaigns: Dict[str, CampaignState] = {}
         self._stop_event: Optional[asyncio.Event] = None
-        self._running = False
 
     # -- lifecycle -------------------------------------------------------------
 
-    def start(self) -> None:
-        """Spawn the worker pool and reload persisted campaigns."""
+    async def run(self) -> None:
+        """Serve until :meth:`request_stop` — the asyncio main loop.
+
+        Reloads persisted campaigns, spawns the worker pool, and pumps
+        it; on exit the workers stop, and in-flight units stay journaled
+        up to their last finished scenario and resume on the next run.
+        """
+        self._stop_event = asyncio.Event()
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self._load_campaigns()
-        for slot in self._slots:
-            self._spawn(slot)
-        self._running = True
-
-    async def run(self) -> None:
-        """Serve until :meth:`request_stop` — the asyncio main loop."""
-        self._stop_event = asyncio.Event()
-        if not self._running:
-            self.start()
+        # The toggle snapshot replays into every worker incarnation —
+        # the same propagation contract as the batch engine's
+        # _init_worker, so a toggle added to the registry reaches
+        # service workers automatically.
+        self._pool = WorkerPool(
+            _run_scenario,
+            self.workers,
+            initializer=toggles.apply,
+            initargs=(toggles.snapshot(),),
+            deadline_s=self.stall_timeout_s,
+            context="spawn",
+        )
         try:
             while not self._stop_event.is_set():
-                self._drain_results()
-                self._reap_workers()
-                self._dispatch()
+                self._pump()
                 try:
                     await asyncio.wait_for(
-                        self._stop_event.wait(), timeout=self.poll_s
+                        self._stop_event.wait(), timeout=_POLL_S
                     )
                 except asyncio.TimeoutError:
                     pass
         finally:
-            self.shutdown()
+            self._pool.close()
 
     def request_stop(self) -> None:
         if self._stop_event is not None:
             self._stop_event.set()
-
-    def shutdown(self, join_timeout_s: float = 2.0) -> None:
-        """Stop workers; in-flight units stay journaled up to their last
-        finished scenario and resume on the next start."""
-        self._running = False
-        for slot in self._slots:
-            if slot.alive and slot.tasks is not None:
-                try:
-                    slot.tasks.put(None)
-                except Exception:
-                    pass
-        deadline = time.monotonic() + join_timeout_s
-        for slot in self._slots:
-            if slot.process is None:
-                continue
-            slot.process.join(max(0.0, deadline - time.monotonic()))
-            if slot.process.is_alive():
-                slot.process.kill()
-                slot.process.join(1.0)
-            slot.process = None
 
     # -- submission & queries --------------------------------------------------
 
@@ -309,11 +276,9 @@ class CampaignService:
             )
             + "\n"
         )
-        manifest = _open_journal(directory / MANIFEST_FILENAME, append=False)
-        try:
-            _append(manifest, _journal_header(grid))
-        finally:
-            manifest.close()
+        manifest = directory / MANIFEST_FILENAME
+        with open_journal(manifest, append=False) as handle:
+            append_line(handle, journal_header(grid))
         state = CampaignState(
             id=campaign_id,
             spec=spec,
@@ -347,27 +312,37 @@ class CampaignService:
         return self.campaign(campaign_id).status()
 
     def workers_status(self) -> List[Dict[str, Any]]:
+        """One entry per worker slot.  ``heartbeat_age_s`` is how long
+        the slot's in-flight unit has gone without a scenario result
+        (0 when idle) — the age the stall deadline is measured on."""
+        now = time.monotonic()
         return [
             {
-                "slot": slot.index,
-                "pid": slot.process.pid if slot.process is not None else None,
-                "alive": slot.alive,
-                "generation": slot.generation,
-                "restarts": max(0, slot.generation - 1),
-                "heartbeat_age_s": round(slot.heartbeat_age_s, 3),
-                "queue_depth": slot.queue_depth,
-                "unit": (
-                    f"{slot.unit[0]}:{slot.unit[1]}"
-                    if slot.unit is not None else None
+                "slot": worker.slot,
+                "pid": worker.process.pid,
+                "alive": worker.process.is_alive(),
+                "generation": worker.generation,
+                "restarts": max(0, worker.generation - 1),
+                "heartbeat_age_s": round(
+                    now - worker.last_progress
+                    if worker.tag is not None else 0.0,
+                    3,
                 ),
-                "metrics": _metric_summary(slot.metrics),
+                "queue_depth": len(worker.pending),
+                "unit": (
+                    f"{worker.tag[0]}:{worker.tag[1]}"
+                    if worker.tag is not None else None
+                ),
+                "metrics": _metric_summary(
+                    self._worker_snapshots.get(worker.slot, {})
+                ),
             }
-            for slot in self._slots
+            for worker in (self._pool.workers if self._pool else [])
         ]
 
     def service_health(self) -> Dict[str, Any]:
         """The ``/healthz`` payload: liveness, uptime, version, per-worker
-        heartbeat ages and metric summaries."""
+        progress ages and metric summaries."""
         from .. import __version__
 
         return {
@@ -386,13 +361,6 @@ class CampaignService:
             {}, *(state.metrics for state in self._campaigns.values())
         )
 
-    def worker_metrics(self) -> Dict[str, float]:
-        """Cumulative registry series across every worker incarnation,
-        dead or alive (heartbeat-sourced; includes warmup/in-flight work
-        the per-campaign view excludes)."""
-        merged = dict(self._retired_metrics)
-        return metrics_merge(merged, *(slot.metrics for slot in self._slots))
-
     def metrics_samples(self) -> List[Tuple[str, Optional[Dict[str, str]], float, str]]:
         """Everything ``GET /metrics`` exposes, as Prometheus samples."""
         now = time.monotonic()
@@ -403,7 +371,6 @@ class CampaignService:
         errors = sum(
             len(state.error_keys) for state in self._campaigns.values()
         )
-        inflight = sum(1 for slot in self._slots if slot.unit is not None)
         pending_units = sum(
             1
             for state in self._campaigns.values()
@@ -411,11 +378,14 @@ class CampaignService:
             if unit.state == "pending"
         )
         retries = sum(state.retries for state in self._campaigns.values())
+        workers = self.workers_status()
         samples: List[Tuple[str, Optional[Dict[str, str]], float, str]] = [
             ("repro_service_uptime_seconds", None, uptime_s, "gauge"),
-            ("repro_service_workers", None, len(self._slots), "gauge"),
+            ("repro_service_workers", None, self.workers, "gauge"),
             ("repro_service_campaigns", None, len(self._campaigns), "gauge"),
-            ("repro_service_inflight_units", None, inflight, "gauge"),
+            ("repro_service_inflight_units", None,
+             sum(1 for worker in workers if worker["unit"] is not None),
+             "gauge"),
             ("repro_service_pending_units", None, pending_units, "gauge"),
             ("repro_scenarios_completed_total", None, completed, "counter"),
             ("repro_scenario_errors_total", None, errors, "counter"),
@@ -427,20 +397,20 @@ class CampaignService:
                 "gauge",
             ),
         ]
-        for slot in self._slots:
-            labels = {"slot": str(slot.index)}
+        for worker in workers:
+            labels = {"slot": str(worker["slot"])}
             samples.extend(
                 [
-                    ("repro_worker_alive", labels, 1 if slot.alive else 0,
+                    ("repro_worker_alive", labels, 1 if worker["alive"] else 0,
                      "gauge"),
                     ("repro_worker_heartbeat_age_seconds", labels,
-                     slot.heartbeat_age_s, "gauge"),
+                     worker["heartbeat_age_s"], "gauge"),
                     ("repro_worker_restarts_total", labels,
-                     max(0, slot.generation - 1), "counter"),
-                    ("repro_worker_queue_depth", labels, slot.queue_depth,
-                     "gauge"),
+                     worker["restarts"], "counter"),
+                    ("repro_worker_queue_depth", labels,
+                     worker["queue_depth"], "gauge"),
                     ("repro_worker_inflight_units", labels,
-                     1 if slot.unit is not None else 0, "gauge"),
+                     1 if worker["unit"] is not None else 0, "gauge"),
                 ]
             )
         # The campaign-folded registry series (exactly-once per scenario:
@@ -460,11 +430,7 @@ class CampaignService:
     def journals(self, campaign_id: str) -> List[Path]:
         """Manifest + existing shard journals, manifest first (the
         merge order that reproduces batch-run row order)."""
-        state = self.campaign(campaign_id)
-        return [
-            state.directory / MANIFEST_FILENAME,
-            *sorted(state.directory.glob("shard-*.jsonl")),
-        ]
+        return service_journals(self.campaign(campaign_id).directory)
 
     def result(self, campaign_id: str) -> Tuple[CampaignSummary, bool]:
         """The merged summary *right now* — streamable mid-run — plus
@@ -506,8 +472,11 @@ class CampaignService:
             key_set = {scenario.key() for scenario in grid}
             folded: Dict[str, CompletedScenario] = {}
             for shard in sorted(directory.glob("shard-*.jsonl")):
-                records, _ = _scan_journal(shard, key_set)
-                folded.update(records)
+                folded.update(
+                    (key, record)
+                    for key, record in fold_journal(shard).items()
+                    if key in key_set
+                )
             done: Set[str] = set(folded)
             errors: Set[str] = {
                 key for key, record in folded.items()
@@ -543,129 +512,48 @@ class CampaignService:
                 pending,
             )
 
-    def _spawn(self, slot: _Slot) -> None:
-        """(Re)start a slot with a fresh task queue.  The old queue may
-        hold a partially-consumed item from the dead incarnation, so it
-        is abandoned wholesale — the in-flight unit is re-dispatched
-        explicitly by the caller."""
-        if slot.metrics:
-            # Keep the dead incarnation's cumulative history before the
-            # fresh process starts its series from zero.
-            metrics_merge(self._retired_metrics, slot.metrics)
-            slot.metrics = {}
-        slot.tasks = self._ctx.Queue()
-        slot.process = self._ctx.Process(
-            target=worker_main,
-            args=(
-                slot.index,
-                slot.tasks,
-                self._results,
-                self._toggle_snapshot(),
-                self.heartbeat_s,
-            ),
-            daemon=True,
-            name=f"repro-service-worker-{slot.index}",
-        )
-        slot.process.start()
-        slot.generation += 1
-        slot.unit = None
-        slot.last_seen = time.monotonic()
+    def _pump(self) -> None:
+        """One scheduler tick: take what the pool has without blocking,
+        then hand pending units to idle workers."""
+        for event in self._pool.poll(0):
+            if isinstance(event, Result):
+                self._record(event)
+            else:
+                self._forfeit(event)
+        self._dispatch()
 
-    @staticmethod
-    def _toggle_snapshot() -> Dict[str, Any]:
-        from ..core import toggles
-
-        return toggles.snapshot()
-
-    def _drain_results(self) -> None:
-        while True:
-            try:
-                message = self._results.get_nowait()
-            except queue_module.Empty:
-                break
-            except (EOFError, OSError):
-                break
-            kind, slot_index = message[0], message[1]
-            if 0 <= slot_index < len(self._slots):
-                self._slots[slot_index].last_seen = time.monotonic()
-            if kind == "hb":
-                if len(message) > 2 and isinstance(message[2], dict):
-                    if 0 <= slot_index < len(self._slots):
-                        self._slots[slot_index].metrics = message[2]
-            elif kind == "row":
-                _, _, campaign_id, unit_index, key, has_error = message[:6]
-                row_metrics = message[6] if len(message) > 6 else None
-                state = self._campaigns.get(campaign_id)
-                if state is None or not 0 <= unit_index < len(state.units):
-                    continue
-                unit = state.units[unit_index]
-                if key not in unit.done_keys:
-                    # First sighting of this key: fold its delta.  A row
-                    # journaled by a worker that died before reporting it
-                    # re-executes on resubmit and lands here exactly once
-                    # — set semantics keep the count honest either way.
-                    unit.done_keys.add(key)
-                    if isinstance(row_metrics, dict):
-                        metrics_merge(state.metrics, row_metrics)
-                if has_error:
-                    state.error_keys.add(key)
-            elif kind == "unit":
-                _, _, campaign_id, unit_index = message
-                state = self._campaigns.get(campaign_id)
-                if state is None or not 0 <= unit_index < len(state.units):
-                    continue
-                unit = state.units[unit_index]
-                # Guard against a stalled-then-killed worker's stale
-                # completion racing the resubmitted unit: only the
-                # current owner may complete it.
-                if unit.slot == slot_index:
-                    unit.state = "done"
-                    unit.slot = None
-                    slot = self._slots[slot_index]
-                    if slot.unit == (campaign_id, unit_index):
-                        slot.unit = None
-
-    def _reap_workers(self) -> None:
-        now = time.monotonic()
-        for slot in self._slots:
-            if not self._running:
-                return
-            if slot.process is None:
-                continue
-            dead = not slot.process.is_alive()
-            stalled = (
-                not dead
-                and self.stall_timeout_s is not None
-                and slot.unit is not None
-                and now - slot.last_seen > self.stall_timeout_s
-            )
-            if not dead and not stalled:
-                continue
-            if stalled:
-                _LOGGER.warning(
-                    "worker %d silent for %.1fs with unit %s in flight; "
-                    "killing it", slot.index, now - slot.last_seen, slot.unit,
-                )
-                slot.process.kill()
-                slot.process.join(1.0)
-            forfeited = slot.unit
-            _LOGGER.warning(
-                "worker %d (pid %s) died%s; respawning",
-                slot.index, slot.process.pid,
-                f" with unit {forfeited} in flight" if forfeited else "",
-            )
-            self._spawn(slot)
-            if forfeited is not None:
-                self._forfeit(forfeited)
-
-    def _forfeit(self, assignment: Tuple[str, int]) -> None:
-        campaign_id, unit_index = assignment
-        state = self._campaigns.get(campaign_id)
-        if state is None or not 0 <= unit_index < len(state.units):
-            return
+    def _record(self, event: Result) -> None:
+        """Journal one scenario result, then count it."""
+        campaign_id, unit_index = event.tag
+        record, snapshot = event.value
+        self._worker_snapshots[event.slot] = snapshot
+        state = self._campaigns[campaign_id]
         unit = state.units[unit_index]
-        if unit.state != "running":
-            return
+        with open_journal(
+            self._shard_path(state, event.slot), append=True
+        ) as shard:
+            append_line(shard, journal_line(record))
+        if record.key not in unit.done_keys:
+            # First sighting of this key: fold its delta.  A scenario
+            # re-executed after its worker died mid-unit lands here
+            # once — set semantics keep the count honest either way.
+            unit.done_keys.add(record.key)
+            metrics_merge(state.metrics, record.metrics)
+        if record.row.error is not None:
+            state.error_keys.add(record.key)
+        if unit.remaining == 0:
+            unit.state = "done"
+            unit.slot = None
+
+    def _forfeit(self, lost: Lost) -> None:
+        """A unit whose worker died or stalled: retry it or fail it."""
+        campaign_id, unit_index = lost.tag
+        self._worker_snapshots.pop(lost.slot, None)
+        unit = self._campaigns[campaign_id].units[unit_index]
+        _LOGGER.warning(
+            "worker %d lost unit %s:%d (%s: %s); respawned",
+            lost.slot, campaign_id, unit_index, lost.reason, lost.detail,
+        )
         unit.slot = None
         if unit.attempts > self.retry_limit:
             unit.state = "failed"
@@ -677,7 +565,7 @@ class CampaignService:
             )
         else:
             unit.state = "pending"
-            state.retries += 1
+            self._campaigns[campaign_id].retries += 1
             _LOGGER.info(
                 "campaign %s unit %d resubmitted (attempt %d of %d); "
                 "%d finished scenario(s) will be skipped",
@@ -686,32 +574,22 @@ class CampaignService:
             )
 
     def _dispatch(self) -> None:
-        for slot in self._slots:
-            if not slot.idle:
-                continue
+        while self._pool.idle:
             assignment = self._next_pending()
             if assignment is None:
                 return
             state, unit = assignment
-            payload = {
-                "campaign": state.id,
-                "unit": unit.index,
-                "scenarios": [asdict(s) for s in unit.scenarios],
-                "skip": sorted(unit.done_keys),
-                "shard": str(self._shard_path(state, slot.index)),
-                "chaos": (
-                    state.spec.chaos_kill_key
-                    if state.spec.chaos_kill_key is not None
-                    and (state.spec.chaos_always or unit.attempts == 0)
-                    and state.spec.chaos_kill_key not in unit.done_keys
-                    else None
-                ),
-            }
+            chaos = state.spec.chaos_kill_key
+            if not (state.spec.chaos_always or unit.attempts == 0):
+                chaos = None
+            items = [
+                (scenario, scenario.key() == chaos)
+                for scenario in unit.scenarios
+                if scenario.key() not in unit.done_keys
+            ]
             unit.state = "running"
-            unit.slot = slot.index
             unit.attempts += 1
-            slot.unit = (state.id, unit.index)
-            slot.tasks.put(payload)
+            unit.slot = self._pool.submit((state.id, unit.index), items)
 
     def _next_pending(self) -> Optional[Tuple[CampaignState, WorkUnit]]:
         for campaign_id in sorted(self._campaigns):
