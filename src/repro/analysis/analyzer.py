@@ -456,13 +456,19 @@ class PolicyAnalyzer:
                 if isinstance(condition, (MatchAsPathList, MatchAcl)):
                     return
         universe = CandidateUniverse.for_policy(config, route_map)
-        prepared = route_map.prepare(config)
+        find_clause = route_map.prepare(config).find_clause
+        seqs = {clause.seq for clause in route_map.clauses}
         fired: Set[int] = set()
         try:
+            # Which clause fires cannot depend on a protocol no clause
+            # tests, so one protocol per grid point reaches every clause
+            # the full grid reaches.
             for route in universe.cached_routes():
-                clause = prepared.find_clause(route)
+                clause = find_clause(route)
                 if clause is not None:
                     fired.add(clause.seq)
+                    if len(fired) == len(seqs):
+                        break  # every clause is reachable
         except PolicyEvaluationError:
             return
         for clause in route_map.clauses:

@@ -8,7 +8,11 @@ denied.").
 Each checker binds its route map to the config once
 (:meth:`~repro.netmodel.routing_policy.RouteMap.prepare`) and walks the
 memoized candidate grid through the prepared evaluator, so the per-route
-cost is pure evaluation — no repeated name resolution.
+cost is pure evaluation — no repeated name resolution.  The grid holds
+only the routes the question admits (the egress check asks about routes
+carrying one forbidden community), and when the policy tests no
+protocol it holds one protocol per point, because no verdict can depend
+on it.  The egress check decides each route by its firing clause alone.
 
 Checks are memoized per (invariant, canonicalized route-map structure):
 the synthesis loop re-verifies every router after each correction
@@ -185,17 +189,22 @@ def _verify_egress_filter(
     route_map: RouteMap,
     invariant: EgressFilterInvariant,
 ) -> Optional[InvariantViolation]:
-    evaluate = route_map.prepare(config).evaluate
+    # Only the firing clause's action matters here, so candidates are
+    # decided by clause and no result route is built.
+    find_clause = route_map.prepare(config).find_clause
+    # The policy's structure is extracted once; each forbidden tag then
+    # extends a fresh universe built from it.
+    structure = CandidateUniverse.for_policy(config, route_map).fingerprint()
     for community in sorted(invariant.forbidden):
         constraint = RouteConstraint.with_community(community)
-        universe = CandidateUniverse.for_policy(config, route_map)
+        universe = CandidateUniverse._from_fingerprint(structure)
         universe.add_constraint(constraint)
         for route in universe.cached_routes(constraint):
             try:
-                outcome = evaluate(route)
+                clause = find_clause(route)
             except PolicyEvaluationError:
                 continue
-            if outcome.action is Action.PERMIT:
+            if clause is not None and clause.action is Action.PERMIT:
                 return InvariantViolation(
                     invariant=invariant,
                     router=invariant.router,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 __all__ = [
@@ -104,9 +105,16 @@ class CommunityListEntry:
     def matches(self, carried: FrozenSet[Community]) -> bool:
         """True if a route carrying ``carried`` satisfies this entry."""
         if self.regex is not None:
-            pattern = re.compile(self.regex)
-            return any(pattern.search(str(item)) for item in carried)
+            search = self._pattern.search
+            return any(search(str(item)) for item in carried)
         return all(item in carried for item in self.communities)
+
+    @cached_property
+    def _pattern(self) -> "re.Pattern[str]":
+        # Compiled on the first match and kept on the entry, not per
+        # matched route; a malformed regex still parses and fails only
+        # when a route is matched against it.
+        return re.compile(self.regex)
 
 
 @dataclass
@@ -124,6 +132,8 @@ class CommunityList:
 
     def permits(self, carried: Iterable[Community]) -> bool:
         """Whether a route with the given communities passes the list."""
+        # frozenset() hands an exact frozenset back unchanged, so a
+        # route's own community set is not copied.
         carried_set = frozenset(carried)
         for entry in self.entries:
             if entry.matches(carried_set):

@@ -597,6 +597,11 @@ class PreparedRouteMap:
         if isinstance(condition, MatchCommunityList):
             resolved = context.get_community_list(condition.name)
             if resolved is not None:
+                tags = _any_tag_set(resolved)
+                if tags is not None:
+                    # The reference shape — one-tag permit lines — is
+                    # "carries any of these tags": one disjointness test.
+                    return lambda route: not tags.isdisjoint(route.communities)
                 return lambda route: resolved.permits(route.communities)
             return undefined("community-list", condition.name)
         if isinstance(condition, MatchAsPathList):
@@ -701,6 +706,23 @@ def _exact_permit_set(prefix_list: PrefixList):
         if entry.action != "permit" or not entry.range.is_exact():
             return None
         members.append(entry.range.prefix)
+    return frozenset(members)
+
+
+def _any_tag_set(community_list: CommunityList):
+    """The list's communities as a frozenset, when that is faithful:
+    every entry a regex-free permit of exactly one community, so the
+    list permits a route exactly when it carries any of them (no entry
+    can shadow another's verdict; an empty list permits nothing)."""
+    members = []
+    for entry in community_list.entries:
+        if (
+            entry.action != "permit"
+            or entry.regex is not None
+            or len(entry.communities) != 1
+        ):
+            return None
+        members.append(entry.communities[0])
     return frozenset(members)
 
 

@@ -14,6 +14,10 @@ exercises every *region* those predicates can distinguish:
   the empty and the full set);
 * every mentioned protocol plus BGP/OSPF/CONNECTED defaults.
 
+A question's input constraint is pushed into the enumerator: each axis
+is filtered on its own before the product is formed, so only admitted
+routes are ever built.
+
 Evaluating the real (concrete) route-map on this grid gives a sound and,
 for the guard language above, effectively exhaustive search — the same
 role Batfish's BDD-based engine plays for SearchRoutePolicies, at a
@@ -63,7 +67,15 @@ MAX_COMMUNITY_SUBSET = 2
 # canonicalized structure share one extraction.
 _POLICY_CACHE = MemoCache("universe-policy")
 
-# (universe fingerprint, constraint) -> materialized candidate routes.
+# The grid's prefix, community-set and protocol axes.
+Axes = Tuple[
+    Tuple[Prefix, ...], Tuple[FrozenSet[Community], ...], Tuple[Protocol, ...]
+]
+
+# universe fingerprint -> its Axes.
+_AXES_CACHE = MemoCache("universe-axes")
+
+# (universe fingerprint, constraint) -> materialized collapsed routes.
 _ROUTES_CACHE = MemoCache("universe-routes")
 
 
@@ -209,12 +221,12 @@ class CandidateUniverse:
         if not hit:
             universe = cls()
             universe.add_policy(config, route_map)
-            structure = (
-                tuple(universe._ranges),
-                tuple(universe._communities),
-                tuple(universe._protocols),
-            )
+            structure = universe.fingerprint()
             _POLICY_CACHE.store(key, structure)
+        return cls._from_fingerprint(structure)
+
+    @classmethod
+    def _from_fingerprint(cls, structure: tuple) -> "CandidateUniverse":
         universe = cls()
         universe._ranges = list(structure[0])
         universe._communities = list(structure[1])
@@ -291,19 +303,54 @@ class CandidateUniverse:
             self._protocols + [Protocol.BGP, Protocol.OSPF, Protocol.CONNECTED]
         )
 
+    def axes(self) -> "Axes":
+        """The grid's prefix, community-set and protocol axes, memoized
+        per fingerprint: every constraint asked of one universe filters
+        the same three axes, so they are built once."""
+        key = self.fingerprint()
+        hit, axes = _AXES_CACHE.lookup(key)
+        if not hit:
+            axes = (
+                tuple(self.candidate_prefixes()),
+                tuple(self.candidate_community_sets()),
+                tuple(self.candidate_protocols()),
+            )
+            _AXES_CACHE.store(key, axes)
+        return axes
+
     def routes(
-        self, constraint: "RouteConstraint | None" = None
+        self,
+        constraint: "RouteConstraint | None" = None,
+        *,
+        collapse_protocols: bool = False,
     ) -> Iterable[Route]:
-        """Yield the grid, filtered by an optional input constraint.
+        """Yield the grid points an optional input constraint admits, in
+        prefix → communities → protocol order.
+
+        The constraint is conjunctive across fields, so each axis is
+        filtered before the product is formed and no inadmissible route
+        is ever built.  With ``collapse_protocols``, a universe whose
+        policies test no protocol yields only the first protocol of the
+        axis: every policy then treats a (prefix, communities) point the
+        same under any protocol, and the first protocol comes first in
+        grid order, so a search for the first route with some verdict
+        finds the same route on the collapsed grid.
 
         Routes are derived through the same :class:`RouteBuilder`
         datapath policy evaluation uses, so every attribute is the
         canonical interned instance and memo keys over these routes
         compare pointer-cheap.
         """
-        community_sets = self.candidate_community_sets()
-        protocols = self.candidate_protocols()
-        for prefix in self.candidate_prefixes():
+        prefixes, community_sets, protocols = self.axes()
+        if constraint is not None:
+            prefixes = [p for p in prefixes if constraint.admits_prefix(p)]
+            community_sets = [
+                s for s in community_sets if constraint.admits_communities(s)
+            ]
+            protocols = [p for p in protocols if constraint.admits_protocol(p)]
+        if collapse_protocols and not self._protocols:
+            protocols = protocols[:1]
+        for prefix in prefixes:
             base = Route(prefix=prefix)
             for communities in community_sets:
                 for protocol in protocols:
@@ -312,41 +359,38 @@ class CandidateUniverse:
                         # directly instead of freezing a clean builder,
                         # so the routes_reused counter stays a measure
                         # of real datapath reuse, not enumeration churn.
-                        route = base
-                    else:
-                        builder = RouteBuilder(base)
-                        if communities:
-                            builder.set_communities(communities)
-                        if protocol is not base.protocol:
-                            builder.set_protocol(protocol)
-                        route = builder.freeze()
-                    if constraint is None or constraint.admits(route):
-                        yield route
+                        yield base
+                        continue
+                    builder = RouteBuilder(base)
+                    if communities:
+                        builder.set_communities(communities)
+                    if protocol is not base.protocol:
+                        builder.set_protocol(protocol)
+                    yield builder.freeze()
 
     def cached_routes(
         self, constraint: "RouteConstraint | None" = None
     ) -> "Tuple[Route, ...]":
-        """The grid as a shared, memoized tuple.
+        """The protocol-collapsed grid (:meth:`routes` with
+        ``collapse_protocols=True``) as a shared, memoized tuple.
 
         Routes are immutable, so one materialization is safely shared by
         every caller whose universe has the same fingerprint — the hot
-        path of :mod:`repro.lightyear.verifier`, where each invariant
-        check walks the full grid.
+        path of :mod:`repro.lightyear.verifier`, whose checks, like the
+        shadowing lint, look for a first route with some verdict and so
+        need no protocol the policies cannot tell apart.
         """
         key = (self.fingerprint(), constraint)
         hit, routes = _ROUTES_CACHE.lookup(key)
         if not hit:
-            routes = tuple(self.routes(constraint))
+            routes = tuple(self.routes(constraint, collapse_protocols=True))
             _ROUTES_CACHE.store(key, routes)
         return routes
 
     def size_estimate(self) -> int:
         """Grid cardinality before constraint filtering."""
-        return (
-            len(self.candidate_prefixes())
-            * len(self.candidate_community_sets())
-            * len(self.candidate_protocols())
-        )
+        prefixes, community_sets, protocols = self.axes()
+        return len(prefixes) * len(community_sets) * len(protocols)
 
 
 def _dedupe(items: Sequence) -> List:

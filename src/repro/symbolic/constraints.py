@@ -7,11 +7,11 @@ advertisements a question ranges over — the same role as the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from ..netmodel.communities import Community
-from ..netmodel.ip import PrefixRange
+from ..netmodel.ip import Prefix, PrefixRange
 from ..netmodel.route import Protocol, Route
 
 __all__ = ["RouteConstraint"]
@@ -50,17 +50,28 @@ class RouteConstraint:
 
     def admits(self, route: Route) -> bool:
         """Whether a concrete route lies in the constrained space."""
-        if self.prefix_ranges and not any(
-            item.matches(route.prefix) for item in self.prefix_ranges
-        ):
-            return False
-        if not self.required_communities <= route.communities:
-            return False
-        if self.forbidden_communities & route.communities:
-            return False
-        if self.protocol is not None and route.protocol != self.protocol:
-            return False
-        return True
+        return (
+            self.admits_prefix(route.prefix)
+            and self.admits_communities(route.communities)
+            and self.admits_protocol(route.protocol)
+        )
+
+    # The constraint is a conjunction of one test per field, so each
+    # test can filter its own axis of a candidate grid before the
+    # product is formed (see CandidateUniverse.routes).
+
+    def admits_prefix(self, prefix: Prefix) -> bool:
+        return not self.prefix_ranges or any(
+            item.matches(prefix) for item in self.prefix_ranges
+        )
+
+    def admits_communities(self, communities: FrozenSet[Community]) -> bool:
+        return self.required_communities <= communities and (
+            self.forbidden_communities.isdisjoint(communities)
+        )
+
+    def admits_protocol(self, protocol: Protocol) -> bool:
+        return self.protocol is None or protocol == self.protocol
 
     def describe(self) -> str:
         parts = []

@@ -1,5 +1,7 @@
 """Tests for BGP communities and community lists."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -98,3 +100,48 @@ class TestCommunityList:
         clist.add(CommunityListEntry("deny", (Community(1, 1),)))
         clist.add(CommunityListEntry("permit", (Community(100, 1),)))
         assert clist.permitted_communities() == frozenset({Community(100, 1)})
+
+
+class TestExpandedListRegex:
+    """Expanded (regex) entries compile once and match as re.search does."""
+
+    PATTERNS = (r"^100:", r":1$", r"^[23]00:[0-9]$", r"65535")
+
+    @given(
+        st.sampled_from(PATTERNS),
+        st.frozensets(
+            st.builds(Community, st.integers(0, 300), st.integers(0, 12)),
+            max_size=4,
+        ),
+    )
+    def test_matches_like_re_search(self, pattern, carried):
+        entry = CommunityListEntry("permit", regex=pattern)
+        expected = any(re.search(pattern, str(item)) for item in carried)
+        assert entry.matches(carried) is expected
+        assert entry.matches(carried) is expected  # the cached pattern
+
+    def test_compiles_once_per_entry(self, monkeypatch):
+        entry = CommunityListEntry("permit", regex=r"^100:")
+        compiled = []
+        real_compile = re.compile
+
+        def counting(pattern, *args):
+            compiled.append(pattern)
+            return real_compile(pattern, *args)
+
+        monkeypatch.setattr(re, "compile", counting)
+        for value in range(20):
+            entry.matches(frozenset({Community(100, value)}))
+        assert compiled == [r"^100:"]
+
+    def test_cached_pattern_is_not_part_of_identity(self):
+        used = CommunityListEntry("permit", regex=r"^100:")
+        used.matches(frozenset({Community(100, 1)}))
+        fresh = CommunityListEntry("permit", regex=r"^100:")
+        assert used == fresh and hash(used) == hash(fresh)
+        assert "pattern" not in repr(used)
+
+    def test_malformed_regex_fails_at_match_time(self):
+        entry = CommunityListEntry("permit", regex="[")
+        with pytest.raises(re.error):
+            entry.matches(frozenset({Community(100, 1)}))

@@ -1,6 +1,7 @@
 """Tests for the route-map IR and its evaluation semantics."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.netmodel import (
     Action,
@@ -33,6 +34,7 @@ from repro.netmodel import (
     path_through,
     permit_all,
 )
+from repro.netmodel.routing_policy import _any_tag_set
 
 
 @pytest.fixture()
@@ -252,3 +254,69 @@ class TestRouteMapEvaluation:
         clause = RouteMapClause(seq=10, action=Action.DENY)
         clause.matches.append(MatchCommunityList("tags"))
         assert "community-list tags" in clause.describe()
+
+
+class TestPreparedCommunityListMatcher:
+    """The prepared community-list matcher (one-tag fast path or the
+    general walk) decides exactly as CommunityList.permits does."""
+
+    POOL = tuple(Community(asn, value) for asn in (100, 200) for value in (1, 2))
+
+    @staticmethod
+    def _prepared(community_list):
+        config = RouterConfig(hostname="r")
+        config.add_community_list(community_list)
+        route_map = RouteMap("M")
+        clause = RouteMapClause(seq=10, action=Action.PERMIT)
+        clause.matches.append(MatchCommunityList(community_list.name))
+        route_map.add_clause(clause)
+        return route_map.prepare(config)
+
+    entries = st.one_of(
+        st.builds(
+            CommunityListEntry,
+            st.sampled_from(("permit", "deny")),
+            st.lists(st.sampled_from(POOL), min_size=1, max_size=3, unique=True)
+            .map(tuple),
+        ),
+        st.builds(
+            lambda action, regex: CommunityListEntry(action, regex=regex),
+            st.sampled_from(("permit", "deny")),
+            st.sampled_from((r"^100:", r":2$")),
+        ),
+        # One-tag permit lines: lists of only these take the fast path.
+        st.builds(
+            lambda tag: CommunityListEntry("permit", (tag,)),
+            st.sampled_from(POOL),
+        ),
+    )
+
+    @given(
+        st.lists(entries, max_size=4),
+        st.frozensets(st.sampled_from(POOL + (Community(300, 3),))),
+    )
+    def test_bound_matcher_equals_permits(self, entries, carried):
+        community_list = CommunityList("CL", list(entries))
+        prepared = self._prepared(community_list)
+        route = Route(prefix=Prefix.parse("10.0.0.0/24"), communities=carried)
+        fired = prepared.find_clause(route) is not None
+        assert fired is community_list.permits(carried)
+        assert prepared.evaluate(route).permitted is fired
+
+    def test_fast_path_applies_only_to_one_tag_permit_lists(self):
+        tag, other = self.POOL[:2]
+        one_tag = CommunityList(
+            "A",
+            [
+                CommunityListEntry("permit", (tag,)),
+                CommunityListEntry("permit", (other,)),
+            ],
+        )
+        assert _any_tag_set(one_tag) == frozenset({tag, other})
+        assert _any_tag_set(CommunityList("EMPTY")) == frozenset()
+        for entry in (
+            CommunityListEntry("deny", (tag,)),
+            CommunityListEntry("permit", (tag, other)),
+            CommunityListEntry("permit", regex=r"^100:"),
+        ):
+            assert _any_tag_set(CommunityList("B", [entry])) is None
