@@ -1,17 +1,14 @@
-"""Scenario-campaign engine: parallel speedup and symbolic-cache gains.
+"""Scenario-campaign engine: parallel speedup and the symbolic-cache hit rate.
 
-Two comparisons on the same deterministic scenario grids:
-
-* serial vs a 4-worker process pool (wall-clock ratio tracks the core
-  count; row-level results are identical either way);
-* `CandidateUniverse`/verdict memoization off vs on over a mesh grid —
-  the ROADMAP's dominant cost — reporting the cache hit rate alongside
-  the speedup.
+Serial vs a 4-worker process pool on one deterministic scenario grid
+(wall-clock ratio tracks the core count; row-level results are
+identical either way), plus the hit rate of the `CandidateUniverse`/
+verdict memo caches the serial run keeps warm across its scenarios.
 """
 
 from conftest import run_and_print
 from repro.experiments.campaign import build_grid, run_campaign
-from repro.symbolic import reset_caches, set_memoization
+from repro.symbolic import reset_caches
 
 WORKERS = 4
 
@@ -27,51 +24,25 @@ def _campaign_speedup() -> str:
     grid = build_grid(
         ["star", "chain", "ring", "mesh"], [6, 8], seeds=2
     )
+    reset_caches()
     serial = run_campaign(grid, workers=1)
     parallel = run_campaign(grid, workers=WORKERS)
     assert [_row_key(row) for row in serial.rows] == [
         _row_key(row) for row in parallel.rows
     ], "parallel campaign diverged from serial"
     speedup = serial.duration_s / max(parallel.duration_s, 1e-9)
+    rate = serial.cache_hit_rate
     lines = [
         f"campaign speedup ({len(grid)} scenarios)",
         f"  serial   ( 1 worker ): {serial.duration_s:6.2f}s",
         f"  parallel ({WORKERS:2} workers): {parallel.duration_s:6.2f}s",
         f"  speedup: {speedup:.2f}x",
+        f"  warm symbolic cache (serial run): {serial.cache_hits} hits / "
+        f"{serial.cache_misses} misses ({100 * (rate or 0):.1f}% hit rate)",
     ]
     for summary in serial.by_family():
         lines.append("  " + summary.render())
-    lines.append("")
-    lines.append(_memoization_speedup())
     return "\n".join(lines)
-
-
-def _memoization_speedup() -> str:
-    """Mesh grid with the symbolic caches disabled vs enabled."""
-    grid = build_grid(["mesh"], [6, 8], seeds=2)
-    reset_caches()
-    set_memoization(False)
-    try:
-        cold = run_campaign(grid, workers=1)
-    finally:
-        set_memoization(True)
-    reset_caches()
-    warm = run_campaign(grid, workers=1)
-    assert [_row_key(row) for row in cold.rows] == [
-        _row_key(row) for row in warm.rows
-    ], "memoized campaign diverged from unmemoized"
-    speedup = cold.duration_s / max(warm.duration_s, 1e-9)
-    rate = warm.cache_hit_rate
-    return "\n".join(
-        [
-            f"universe memoization (mesh grid, {len(grid)} scenarios)",
-            f"  memoization off: {cold.duration_s:6.2f}s",
-            f"  memoization on : {warm.duration_s:6.2f}s",
-            f"  speedup: {speedup:.2f}x  cache: {warm.cache_hits} hits / "
-            f"{warm.cache_misses} misses "
-            f"({100 * (rate or 0):.1f}% hit rate)",
-        ]
-    )
 
 
 def test_campaign_parallel_speedup(benchmark, capsys):

@@ -8,9 +8,7 @@ from .bgpsim import (
     ResimStats,
     RibEntry,
     SimulationState,
-    incremental_simulation_enabled,
     reset_sim_stats,
-    set_incremental_simulation,
     sim_totals,
 )
 from .session import BfSessionError, BgpSessionRow, Session
@@ -27,8 +25,6 @@ __all__ = [
     "SimulationState",
     "Snapshot",
     "detect_vendor",
-    "incremental_simulation_enabled",
     "reset_sim_stats",
-    "set_incremental_simulation",
     "sim_totals",
 ]

@@ -73,10 +73,8 @@ __all__ = [
     "ResimStats",
     "RibEntry",
     "SimulationState",
-    "incremental_simulation_enabled",
     "reset_sim_stats",
     "rib_snapshots",
-    "set_incremental_simulation",
     "sim_totals",
 ]
 
@@ -714,8 +712,6 @@ def _entry_key(entry: RibEntry) -> Tuple:
 
 # -- incremental re-simulation -------------------------------------------------
 
-_ENABLED = True
-
 # Registry-backed simulation accounting.  The converge timers double as
 # run counters: ``count`` is runs, ``total_s`` is accumulated wall-clock
 # (the ``sim_totals`` view below re-exposes the historical key names).
@@ -725,19 +721,6 @@ _FULL_EVALUATIONS = counter("sim.full_evaluations")
 _INCREMENTAL_EVALUATIONS = counter("sim.incremental_evaluations")
 _REUSED_ENTRIES = counter("sim.reused_entries")
 _INVALIDATED_ENTRIES = counter("sim.invalidated_entries")
-
-
-def set_incremental_simulation(enabled: bool) -> None:
-    """Globally enable/disable incremental re-convergence.  When off,
-    every :class:`SimulationState` request runs a full simulation, so
-    incremental and full code paths can be compared without touching
-    call sites (mirrors :func:`repro.symbolic.set_memoization`)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-def incremental_simulation_enabled() -> bool:
-    return _ENABLED
 
 
 def reset_sim_stats() -> None:
@@ -802,9 +785,9 @@ class SimulationState:
     *reusable* across runs of the same network as long as the caller
     names every changed router; it *invalidates itself* (falls back to
     a full run) when there is no prior state, when the changed set is
-    unknown (``None``), when incremental simulation is globally
-    disabled, or when the worklist fails to quiesce within the full
-    simulator's iteration budget or meets a route it cannot withdraw.
+    unknown (``None``), or when the worklist fails to quiesce within
+    the full simulator's iteration budget or meets a route it cannot
+    withdraw.  A caller that wants the full path calls ``converge``.
     """
 
     def __init__(self, configs: Optional[Dict[str, RouterConfig]] = None) -> None:
@@ -852,11 +835,7 @@ class SimulationState:
         that only costs time).  ``None`` means "unknown" and forces a
         full run.
         """
-        if (
-            self._sim is None
-            or changed_routers is None
-            or not incremental_simulation_enabled()
-        ):
+        if self._sim is None or changed_routers is None:
             return self.converge(configs)
         started = time.perf_counter()
         with span("converge", mode="incremental", routers=len(configs)):

@@ -12,7 +12,7 @@ Commands::
     submit        submit a grid to a running service
     status        live per-shard progress of a service campaign
     result        merged summary of a service campaign (works mid-run)
-    fuzz          differential fuzzing of the optimization-toggle matrix
+    fuzz          differential fuzzing of the full and incremental paths
     lint          simulator-grounded static analysis of routing policy
 
 All commands accept ``--seed`` (default 0); ``synthesize`` also accepts
@@ -36,9 +36,7 @@ the flag to merge several campaigns into one cross-campaign summary
 argument may also be a campaign-service directory, which expands to
 its manifest plus shard journals; ``--timeout SECONDS`` is a
 per-scenario progress deadline for parallel runs (serial runs cannot
-preempt a scenario);
-``--no-incremental-sim`` disables warm incremental BGP re-simulation
-(for A/B comparisons).
+preempt a scenario).
 ``--trace out.json`` (``campaign`` and ``synthesize``) writes a
 Chrome trace-event file of every phase span (open in Perfetto or
 ``chrome://tracing``); ``--profile`` appends a phase/slowest-scenario/
@@ -48,11 +46,12 @@ health (uptime, version, per-worker metric summaries); ``status
 --json`` emits the raw JSON and ``status --metrics`` the service's
 Prometheus ``/metrics`` text.
 ``fuzz`` generates seeded random scenarios (``--fuzz-seed``,
-``--iterations`` or a wall-clock ``--budget 300s``), runs each under
-every toggle combination, asserts RIB/verdict/witness equality against
-the reference BGP simulator (and memo traffic between incremental
-twins), records crashes — and workers that die or hang — as findings,
-shrinks any divergence or crash to a minimal repro under ``--corpus``
+``--iterations`` or a wall-clock ``--budget 300s``), runs each through
+the production full and incremental simulation paths, asserts
+RIB/verdict/witness equality of both against the reference BGP
+simulator (and equal memo traffic between the two), records crashes —
+and workers that die or hang — as findings, shrinks any divergence or
+crash to a minimal repro under ``--corpus``
 (default ``tests/fuzz_corpus``), and journals progress for
 ``--resume``; ``fuzz --replay`` re-checks every corpus file.
 ``lint`` builds the reference configs for one topology cell
@@ -256,11 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     campaign.add_argument(
-        "--no-incremental-sim",
-        action="store_true",
-        help="disable warm incremental BGP re-simulation (A/B comparisons)",
-    )
-    campaign.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -407,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = subparsers.add_parser(
         "fuzz",
-        help="differential fuzzing of the toggle matrix against the "
-        "reference BGP simulator",
+        help="differential fuzzing of the full and incremental simulation "
+        "paths against the reference BGP simulator",
     )
     fuzz.add_argument(
         "--fuzz-seed",
@@ -678,7 +672,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .batfish.bgpsim import set_incremental_simulation
     from .experiments.campaign import (
         CampaignInterrupted,
         build_grid,
@@ -700,7 +693,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 ("--limit", args.limit is not None),
                 ("--trace", args.trace is not None),
                 ("--workers", args.workers != defaults.workers),
-                ("--no-incremental-sim", args.no_incremental_sim),
                 ("--iip-ablation", args.iip_ablation),
                 ("--families", args.families != defaults.families),
                 ("--sizes", args.sizes != defaults.sizes),
@@ -731,8 +723,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             journal=args.report[0] if len(args.report) == 1 else None,
         )
 
-    if args.no_incremental_sim:
-        set_incremental_simulation(False)
     set_campaign_lint(args.lint)
     families = [item for item in args.families.split(",") if item]
     profiles = [item for item in args.profiles.split(",") if item]

@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TextIO
 
-from ..core import DEFAULT_IIP_IDS, toggles
+from ..core import DEFAULT_IIP_IDS
 from ..llm import BehaviorProfile
 from ..obs import (
     counters_snapshot,
@@ -120,8 +120,7 @@ PROFILES: Dict[str, BehaviorProfile] = {
 # policy analyzer over the final synthesized drafts and records the
 # finding counts in its result row (journal v7).  A module global —
 # not a Scenario field — so scenario keys (and therefore resume
-# identity) are unchanged; pool workers receive it via _init_worker,
-# exactly like the optimization toggles.
+# identity) are unchanged; pool workers receive it via _init_worker.
 
 _LINT_ENABLED = False
 
@@ -1197,21 +1196,15 @@ def _interrupted_message(
     )
 
 
-def _init_worker(
-    toggle_values: Dict[str, object],
-    tracing: bool = False,
-    lint: bool = False,
-) -> None:
-    """Propagate the parent's optimization toggles into a pool worker.
+def _init_worker(tracing: bool, lint: bool) -> None:
+    """Propagate the parent's run flags into a pool worker.
 
     Module globals do not survive the spawn/forkserver start methods,
-    so every worker incarnation replays a full
-    :func:`repro.core.toggles.snapshot` — every registered toggle, so a
-    toggle added to the registry is propagated automatically.
-    ``tracing`` mirrors the parent's trace-capture flag so worker spans
-    come home in each :class:`CompletedScenario`.
+    so every worker incarnation replays them.  ``tracing`` mirrors the
+    parent's trace-capture flag so worker spans come home in each
+    :class:`CompletedScenario`; ``lint`` mirrors
+    :func:`set_campaign_lint`.
     """
-    toggles.apply(toggle_values)
     set_tracing(tracing)
     set_campaign_lint(lint)
 
@@ -1311,7 +1304,7 @@ def run_campaign(
             execute_scenario,
             pool_size if pool_size > 1 else 0,
             initializer=_init_worker,
-            initargs=(toggles.snapshot(), tracing, _LINT_ENABLED),
+            initargs=(tracing, _LINT_ENABLED),
             deadline_s=timeout,
         ) as pool:
             units = ((scenario.key(), [scenario]) for scenario in pending)

@@ -2,15 +2,15 @@
 
 Every mismatch or crash the fuzzer finds is shrunk and serialized as
 one JSON file under ``tests/fuzz_corpus/``.  A corpus file is
-self-contained: the minimal scenario, the toggle combination that
-diverged, the baseline it diverged from (the reference's toggles, or
-the memo twin), and the divergence observed at capture time.
-``replay_record`` re-runs the comparison from scratch, so each
-checked-in file is a permanent tier-1 differential test — it fails
+self-contained: the minimal scenario, the check that failed, and the
+divergence observed at capture time (whose text names the diverging
+path).  ``replay_record`` re-runs the whole comparison — reference,
+full path, incremental path — on the scenario from scratch, so each
+checked-in file is a permanent tier-1 differential test: it fails
 again the moment the bug it captured is reintroduced.
 
-Toggle names retired since a record was written are ignored on replay,
-so old records keep replaying against the current registry.
+Records written while the simulator still had optimization toggles
+also carry ``combo`` and ``baseline`` keys; replay ignores them.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from ..core.toggles import toggle_names
 from .oracle import compare
 from .scenarios import FuzzScenario
 
@@ -40,23 +39,19 @@ CORPUS_VERSION = 1
 
 def make_record(
     scenario: FuzzScenario,
-    combo: Dict[str, Any],
-    baseline: Dict[str, Any],
     kind: str,
     mismatch: str,
     fuzz_seed: Optional[int] = None,
     index: Optional[int] = None,
 ) -> dict:
-    """One corpus record.  ``kind`` is ``"semantic"`` (observation vs
-    the reference), ``"memo"`` (memo traffic vs the incremental twin in
-    ``baseline``) or ``"crash"`` (one side raised)."""
+    """One corpus record.  ``kind`` is ``"semantic"`` (a production
+    path vs the reference), ``"memo"`` (full-path vs incremental-path
+    memo traffic) or ``"crash"`` (one side raised)."""
     record = {
         "kind": "fuzz_repro",
         "version": CORPUS_VERSION,
         "check": kind,
         "scenario": scenario.to_dict(),
-        "combo": combo,
-        "baseline": baseline,
         "mismatch": mismatch,
     }
     if fuzz_seed is not None:
@@ -69,12 +64,7 @@ def make_record(
 def repro_filename(record: dict) -> str:
     """A deterministic, content-addressed corpus filename."""
     material = json.dumps(
-        {
-            "scenario": record["scenario"],
-            "combo": record["combo"],
-            "baseline": record["baseline"],
-            "check": record["check"],
-        },
+        {"scenario": record["scenario"], "check": record["check"]},
         sort_keys=True,
     )
     digest = hashlib.sha256(material.encode("utf-8")).hexdigest()[:12]
@@ -101,26 +91,13 @@ def load_repro(path: "Path | str") -> dict:
 
 
 def replay_record(record: dict) -> Optional[str]:
-    """Re-run a corpus record's comparison from scratch.
+    """Re-run the whole comparison on a corpus record's scenario.
 
-    Returns ``None`` when the paths agree (the bug stays fixed) or the
-    divergence (or crash) description when they do not.
+    Returns ``None`` when every path agrees (the bug stays fixed) or
+    the first divergence (or crash) description when they do not.
     """
-    scenario = FuzzScenario.from_dict(record["scenario"])
-    combo = _live_toggles(record["combo"])
-    twin = (
-        _live_toggles(record["baseline"])
-        if record.get("check") == "memo"
-        else None
-    )
-    found = compare(scenario, combo, twin)
+    found = compare(FuzzScenario.from_dict(record["scenario"]))
     return None if found is None else found[1]
-
-
-def _live_toggles(values: Dict[str, Any]) -> Dict[str, Any]:
-    """``values`` without the toggle names the registry has retired."""
-    live = set(toggle_names())
-    return {name: value for name, value in values.items() if name in live}
 
 
 def replay_file(path: "Path | str") -> Optional[str]:

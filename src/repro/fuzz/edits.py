@@ -7,7 +7,7 @@ itself a deterministic outcome).  Determinism is what makes a corpus
 file a repro — replaying the serialized edit sequence reproduces the
 exact configs the fuzzer saw, byte for byte.
 
-The catalog is deliberately adversarial toward the toggle surface:
+The catalog is deliberately adversarial toward the optimized paths:
 
 * ``permit_all_egress`` / ``drop_first_deny`` flip no-transit verdicts
   (the verifier differential);
@@ -162,5 +162,5 @@ def apply_edit_op(
     op: str, configs: Dict[str, RouterConfig], router: str
 ) -> bool:
     """Apply the named operation; ``False`` means it was inapplicable
-    (which every toggle combination must agree on, too)."""
+    (which every observed path must agree on, too)."""
     return EDIT_OPS[op](configs, router)

@@ -1,9 +1,10 @@
-"""The fuzz loop: scenarios × toggle combinations, against the reference.
+"""The fuzz loop: scenarios along both production paths, against the reference.
 
 Each iteration derives its scenario purely from ``(fuzz_seed, index)``
-(see :mod:`repro.fuzz.scenarios`), observes it through the reference
-simulator and under every toggle combination, and reports the first
-divergence — or the first crash, on either side.  A finding is
+(see :mod:`repro.fuzz.scenarios`), observes it three times — through
+the reference simulator and along the production full and incremental
+paths (see :mod:`repro.fuzz.oracle`) — and reports the first
+divergence, or the first crash, on any side.  A finding is
 delta-debugged down to a minimal scenario and returned as a
 ready-to-serialize corpus record.
 
@@ -33,23 +34,14 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core import toggles
 from ..experiments.journal import append_line, open_journal, read_records
 from ..experiments.pool import Lost, WorkerPool
 from .corpus import make_record, write_repro
 from .oracle import (
-    REFERENCE_TOGGLES,
-    all_combos,
-    attempt,
-    combo_label,
     compare,
-    crash_signature,
-    diff_memo_traffic,
-    diff_observations,
+    finding_signature,
+    first_divergence,
     materialize_scenario,
-    memo_partner,
-    observe,
-    observe_reference,
 )
 from .scenarios import FuzzScenario, scenario_at
 from .shrink import shrink_scenario
@@ -73,12 +65,15 @@ __all__ = [
 # ``recall_gap`` (simulator says broken, analyzer found nothing — a
 # journaled hole in the lint rule set).  v3 compares against the
 # reference simulator: the header drops ``pairs`` and rows gain the
-# ``crash`` check.  Folding stays tolerant in both directions.
-FUZZ_JOURNAL_VERSION = 3
+# ``crash`` check.  v4 observes the production full and incremental
+# paths instead of toggle combinations: the header drops ``combos``,
+# rows drop ``combo``, and the mismatch text names the diverging path.
+# Folding stays tolerant in both directions.
+FUZZ_JOURNAL_VERSION = 4
 
 # Seconds one pooled index may run before it is journaled as a hang.
 # Far above the measured cost of an iteration on a 2-vCPU x86-64 VM
-# (0.9 s clean, 1.0 s with a finding and its shrink), so only a genuine
+# (0.16 s clean, 0.7 s with a finding and its shrink), so only a genuine
 # hang reaches it.
 FUZZ_DEADLINE_S = 120.0
 
@@ -116,7 +111,6 @@ class FuzzIterationResult:
     # When not ok: "semantic" | "memo" | "crash", or "killed" | "hang"
     # when the index's worker died or missed FUZZ_DEADLINE_S.
     check: Optional[str] = None
-    combo: Optional[Dict[str, Any]] = None
     mismatch: Optional[str] = None
     repro: Optional[dict] = None  # shrunk corpus record, ready to write
     error: Optional[str] = None  # scenario-generation failure (skipped)
@@ -151,21 +145,16 @@ def _planted_scope(planted: Sequence[str]):
 def run_fuzz_iteration(
     fuzz_seed: int,
     index: int,
-    combos: Optional[Sequence[Dict[str, Any]]] = None,
     planted: Sequence[str] = (),
 ) -> FuzzIterationResult:
-    """Fuzz one index: observe the reference and every combination,
+    """Fuzz one index: observe the reference and both production paths,
     diff them, shrink the first divergence or crash.  Deterministic —
     the same arguments produce the same result in any process."""
     with _planted_scope(planted):
-        return _fuzz_index(fuzz_seed, index, combos=combos)
+        return _fuzz_index(fuzz_seed, index)
 
 
-def _fuzz_index(
-    fuzz_seed: int,
-    index: int,
-    combos: Optional[Sequence[Dict[str, Any]]] = None,
-) -> FuzzIterationResult:
+def _fuzz_index(fuzz_seed: int, index: int) -> FuzzIterationResult:
     scenario = scenario_at(fuzz_seed, index)
     try:
         materialize_scenario(scenario)
@@ -178,71 +167,35 @@ def _fuzz_index(
         )
     except Exception:
         pass  # not a coordinate error: the reference run records the crash
-    combo_list = [dict(combo) for combo in (combos or all_combos())]
-    reference_obs, failure = _first_failure(scenario, combo_list)
+    reference_obs, failure = first_divergence(scenario)
     lint = _lint_cross_check(scenario, reference_obs)
     if failure is None:
         return FuzzIterationResult(
             index=index, key=scenario.key(), ok=True, **lint
         )
 
-    check, combo, twin, mismatch = failure
+    check, mismatch = failure
+    signature = finding_signature(check, mismatch)
 
     def still_fails(candidate: FuzzScenario) -> bool:
-        found = compare(candidate, combo, twin)
-        if found is None or found[0] != check:
-            return False
-        return check != "crash" or (
-            crash_signature(found[1]) == crash_signature(mismatch)
-        )
+        found = compare(candidate)
+        return found is not None and finding_signature(*found) == signature
 
     shrunk = shrink_scenario(scenario, still_fails)
     if shrunk != scenario:
-        mismatch = compare(shrunk, combo, twin)[1]
+        mismatch = compare(shrunk)[1]
     record = make_record(
-        shrunk,
-        combo,
-        twin or dict(REFERENCE_TOGGLES),
-        check,
-        mismatch,
-        fuzz_seed=fuzz_seed,
-        index=index,
+        shrunk, check, mismatch, fuzz_seed=fuzz_seed, index=index
     )
     return FuzzIterationResult(
         index=index,
         key=scenario.key(),
         ok=False,
         check=check,
-        combo=combo,
         mismatch=mismatch,
         repro=record,
         **lint,
     )
-
-
-def _first_failure(
-    scenario: FuzzScenario, combo_list: List[Dict[str, Any]]
-) -> Tuple[Optional[dict], Optional[Tuple[str, Dict[str, Any], Any, str]]]:
-    """The reference observation and the first finding, as ``(check,
-    combo, memo twin or None, detail)`` (``None`` when all agree)."""
-    reference_obs, crash = attempt("reference", observe_reference, scenario)
-    if crash is not None:
-        return None, ("crash", dict(REFERENCE_TOGGLES), None, crash)
-    observed: Dict[str, dict] = {}
-    for combo in combo_list:
-        obs, crash = attempt(combo_label(combo), observe, scenario, combo)
-        if crash is not None:
-            return reference_obs, ("crash", combo, None, crash)
-        observed[combo_label(combo)] = obs
-        mismatch = diff_observations(reference_obs, obs)
-        if mismatch is not None:
-            return reference_obs, ("semantic", combo, None, mismatch)
-        twin = memo_partner(combo)
-        if twin is not None and combo_label(twin) in observed:
-            mismatch = diff_memo_traffic(observed[combo_label(twin)], obs)
-            if mismatch is not None:
-                return reference_obs, ("memo", combo, twin, mismatch)
-    return reference_obs, None
 
 
 def _lint_cross_check(
@@ -317,13 +270,12 @@ def lint_scenario(scenario: FuzzScenario):
 # -- the fuzz journal ----------------------------------------------------------
 
 
-def _fuzz_header(config: FuzzConfig, combos: int) -> str:
+def _fuzz_header(config: FuzzConfig) -> str:
     return json.dumps(
         {
             "kind": "fuzz",
             "version": FUZZ_JOURNAL_VERSION,
             "fuzz_seed": config.fuzz_seed,
-            "combos": combos,
         },
         sort_keys=True,
     )
@@ -337,7 +289,6 @@ def _fuzz_line(result: FuzzIterationResult) -> str:
             "key": result.key,
             "ok": result.ok,
             "check": result.check,
-            "combo": result.combo,
             "mismatch": result.mismatch,
             "repro": result.repro,
             "error": result.error,
@@ -367,7 +318,6 @@ def fold_fuzz_journal(path: "Path | str") -> Dict[int, FuzzIterationResult]:
             key=key,
             ok=bool(record.get("ok")),
             check=record.get("check"),
-            combo=record.get("combo"),
             mismatch=record.get("mismatch"),
             repro=record.get("repro"),
             error=record.get("error"),
@@ -421,8 +371,6 @@ class FuzzSummary:
                     if result.check in ("crash", "killed", "hang")
                     else f"{result.check} mismatch"
                 )
-                if result.combo is not None:
-                    what += f" under {result.combo}"
                 lines.append(
                     f"  [{result.index:>4}] FAIL {result.key}\n"
                     f"         {what}:\n         {result.mismatch}"
@@ -486,7 +434,6 @@ def _run_fuzz_loop(
     resume: bool,
 ) -> FuzzSummary:
     started = time.perf_counter()
-    combos = all_combos()
     journal = Path(journal_path) if journal_path is not None else None
     if resume and journal is None:
         raise ValueError("resume=True requires a journal_path")
@@ -503,7 +450,7 @@ def _run_fuzz_loop(
         # fragment the crash left behind.
         handle = open_journal(journal, append=appending)
         if not appending:
-            append_line(handle, _fuzz_header(config, len(combos)))
+            append_line(handle, _fuzz_header(config))
 
     def claims():
         """Pending indices, claimed lazily so budget mode checks the
@@ -519,17 +466,12 @@ def _run_fuzz_loop(
                 yield index, [index]
 
     task = partial(
-        run_fuzz_iteration,
-        config.fuzz_seed,
-        combos=combos,
-        planted=config.planted,
+        run_fuzz_iteration, config.fuzz_seed, planted=config.planted
     )
     try:
         with WorkerPool(
             task,
             config.workers if config.workers > 1 else 0,
-            initializer=toggles.apply,
-            initargs=(toggles.snapshot(),),
             deadline_s=FUZZ_DEADLINE_S,
         ) as pool:
             for event in pool.run(claims()):

@@ -1,89 +1,58 @@
-"""Run one fuzz scenario under one toggle combination and observe it.
+"""Observe one fuzz scenario along one path, and compare the paths.
 
 An *observation* is a plain JSON-able structure capturing everything
-the conformance contract promises is toggle-independent: after every
+the conformance contract promises is path-independent: after every
 policy edit, the full RIB of every router (attributes, provenance
 path), the local-invariant violations with their witness routes, and
-the global no-transit verdict with per-role breakdowns.  Symbolic memo
-traffic is captured alongside — canonical memo keys make the hit/miss
-pattern independent of how the RIBs were converged, so it is compared
-between incremental twins that share every other toggle.
+the global no-transit verdict with per-role breakdowns.
 
-The oracle every combination is compared against is
-:func:`observe_reference`: RIBs from the spec-derived reference
-simulator (:mod:`repro.fuzz.reference`), violations and verdicts from
-the production checks with every optimization off
-(:data:`REFERENCE_TOGGLES`).
+Every scenario is observed three times:
+
+* the *reference* (:func:`observe_reference`) — RIBs from the
+  spec-derived reference simulator (:mod:`repro.fuzz.reference`),
+  violations and verdicts from the production checks run cold:
+  ``reset_caches()`` before every invariant and a fresh
+  :class:`~repro.lightyear.compose.IncrementalGlobalChecker` per step;
+* the production *full* path (``observe(scenario, "full")``) — a
+  from-scratch ``SimulationState.converge`` at every step and a fresh
+  global checker per step;
+* the production *incremental* path (``observe(scenario,
+  "incremental")``) — ``SimulationState.resimulate`` with the edited
+  router named, and the process's warm registry checker for the
+  global check.
+
+Both production observations must equal the reference's.  Their
+symbolic memo traffic must also equal each other's: canonical memo
+keys make the hit/miss pattern independent of how the RIBs were
+converged.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
-import json
 import os
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..core import toggles
 from . import reference
 from .edits import apply_edit_op, resolve_router
 from .scenarios import FuzzScenario
 
 __all__ = [
-    "FUZZ_FACTORS",
-    "REFERENCE_TOGGLES",
-    "all_combos",
+    "PATHS",
     "attempt",
     "canonical_ribs",
-    "combo_label",
     "compare",
-    "crash_signature",
     "diff_memo_traffic",
     "diff_observations",
-    "memo_partner",
+    "finding_signature",
+    "first_divergence",
     "observe",
     "observe_reference",
 ]
 
-# The fuzzed toggle axes, in canonical order.
-FUZZ_FACTORS: Tuple[Tuple[str, Tuple[Any, ...]], ...] = (
-    ("incremental_simulation", (False, True)),
-    ("memoization", (False, True)),
-)
-
-# The toggles the reference observation runs the production checks
-# under (its RIBs never touch the production simulator).
-REFERENCE_TOGGLES: Dict[str, Any] = {
-    "incremental_simulation": False,
-    "memoization": False,
-}
-
-
-def all_combos() -> List[Dict[str, Any]]:
-    """Every toggle combination (4), in a fixed enumeration order
-    starting from the all-off corner."""
-    names = [name for name, _values in FUZZ_FACTORS]
-    return [
-        dict(zip(names, values))
-        for values in itertools.product(
-            *(values for _name, values in FUZZ_FACTORS)
-        )
-    ]
-
-
-def memo_partner(combo: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """The combination whose memo traffic must equal this one's.
-
-    Canonical memo keys make cache traffic independent of whether the
-    RIBs were re-converged incrementally, so a memoized incremental
-    combination is compared against its full-simulation twin.  ``None``
-    when no comparison applies (memoization off, or already the full
-    side).
-    """
-    if not combo.get("memoization") or not combo.get("incremental_simulation"):
-        return None
-    return {**combo, "incremental_simulation": False}
+# The production paths every scenario is observed along, in check order.
+PATHS: Tuple[str, ...] = ("full", "incremental")
 
 
 def _canonical_route(route) -> list:
@@ -117,16 +86,7 @@ def canonical_ribs(ribs: Dict[str, dict]) -> Dict[str, Dict[str, list]]:
     }
 
 
-def _production_ribs(state) -> Dict[str, dict]:
-    simulation = state.simulation
-    return {name: simulation.rib(name) for name in simulation._configs}
-
-
-def _step_observation(ribs, configs, topology, invariants) -> dict:
-    from ..lightyear import check_global_no_transit, verify_invariants
-
-    violations = verify_invariants(copy.deepcopy(configs), invariants)
-    check = check_global_no_transit(copy.deepcopy(configs), topology)
+def _step_observation(ribs, violations, check) -> dict:
     return {
         "ribs": canonical_ribs(ribs),
         "violations": [
@@ -146,78 +106,101 @@ def _step_observation(ribs, configs, topology, invariants) -> dict:
     }
 
 
-def observe(scenario: FuzzScenario, combo: Dict[str, Any]) -> dict:
-    """Execute the scenario under the toggle combination.
+def observe(scenario: FuzzScenario, path: str) -> dict:
+    """Execute the scenario along the production ``path`` (one of
+    :data:`PATHS`).
 
     Raises whatever generation raises for impossible coordinates (the
     shrinker treats that as "not a valid smaller input").  All warm
     process-local state (memo caches, global-check simulation states)
-    is reset on entry so observations are hermetic per combination.
+    is reset on entry so observations are hermetic per path; the
+    returned ``"memo"`` is the ``[hits, misses]`` traffic since then.
     """
     from ..batfish.bgpsim import SimulationState
+    from ..lightyear import check_global_no_transit, verify_invariants
+    from ..lightyear.compose import IncrementalGlobalChecker
+    from ..symbolic.memo import cache_totals
 
+    if path not in PATHS:
+        raise ValueError(f"unknown path {path!r} (known: {', '.join(PATHS)})")
+    incremental = path == "incremental"
     state = SimulationState()
 
-    def converge(configs, changed):
-        if changed is None:
-            state.converge(copy.deepcopy(configs))
-        else:
+    def step(configs, changed, topology, invariants):
+        if incremental and changed is not None:
             state.resimulate(copy.deepcopy(configs), changed)
-        return _production_ribs(state)
+        else:
+            state.converge(copy.deepcopy(configs))
+        simulation = state.simulation
+        ribs = {name: simulation.rib(name) for name in simulation._configs}
+        checker = None if incremental else IncrementalGlobalChecker()
+        return _step_observation(
+            ribs,
+            verify_invariants(copy.deepcopy(configs), invariants),
+            check_global_no_transit(copy.deepcopy(configs), topology, checker),
+        )
 
-    return _observe(scenario, combo, converge)
+    observation = _observe(scenario, step)
+    observation["memo"] = list(cache_totals())
+    return observation
 
 
 def observe_reference(scenario: FuzzScenario) -> dict:
     """The oracle's observation: RIBs from the reference simulator,
-    violations and verdicts from the production checks run under
-    :data:`REFERENCE_TOGGLES`."""
+    violations and verdicts from the production checks run cold (no
+    memo entry survives from one invariant to the next, and no warm
+    simulation state from one step to the next)."""
+    from ..lightyear import check_global_no_transit, verify_invariants
+    from ..lightyear.compose import IncrementalGlobalChecker
+    from ..symbolic.memo import reset_caches
 
-    def converge(configs, _changed):
-        return reference.simulate(copy.deepcopy(configs))
+    def step(configs, _changed, topology, invariants):
+        configs = copy.deepcopy(configs)
+        violations = []
+        for invariant in invariants:
+            reset_caches()
+            violations.extend(verify_invariants(configs, [invariant]))
+        return _step_observation(
+            reference.simulate(configs),
+            violations,
+            check_global_no_transit(
+                configs, topology, IncrementalGlobalChecker()
+            ),
+        )
 
-    return _observe(scenario, REFERENCE_TOGGLES, converge)
+    return _observe(scenario, step)
 
 
-def _observe(scenario: FuzzScenario, combo: Dict[str, Any], converge) -> dict:
+def _observe(scenario: FuzzScenario, step) -> dict:
     """Walk the scenario's edit sequence, observing after the initial
-    convergence and after every edit.  ``converge(configs, changed)``
-    returns the RIBs for ``configs``; ``changed`` is ``None`` for the
-    initial convergence, else the set of edited routers."""
+    convergence and after every edit.  ``step(configs, changed,
+    topology, invariants)`` returns one step's observation; ``changed``
+    is ``None`` for the initial convergence, else the set of edited
+    routers."""
     from ..lightyear import no_transit_invariants
     from ..lightyear.compose import reset_simulation_states
-    from ..symbolic.memo import cache_totals, reset_caches
+    from ..symbolic.memo import reset_caches
     from ..topology.reference import build_reference_configs
 
-    with toggles.scoped(**combo):
-        reset_caches()
-        reset_simulation_states()
+    reset_caches()
+    reset_simulation_states()
+    try:
         topology = materialize_scenario(scenario).topology
         configs = build_reference_configs(topology)
         invariants = no_transit_invariants(topology)
-        hits_before, misses_before = cache_totals()
         steps = [
-            {"applied": None}
-            | _step_observation(
-                converge(configs, None), configs, topology, invariants
-            )
+            {"applied": None} | step(configs, None, topology, invariants)
         ]
         for edit in scenario.edits:
             router = resolve_router(edit.router_index, configs)
             applied = apply_edit_op(edit.op, configs, router)
             steps.append(
                 {"applied": [router, edit.op, applied]}
-                | _step_observation(
-                    converge(configs, {router}), configs, topology, invariants
-                )
+                | step(configs, {router}, topology, invariants)
             )
-        hits_after, misses_after = cache_totals()
+    finally:
         reset_simulation_states()
-        return {
-            "scenario": scenario.key(),
-            "steps": steps,
-            "memo": [hits_after - hits_before, misses_after - misses_before],
-        }
+    return {"scenario": scenario.key(), "steps": steps}
 
 
 def materialize_scenario(scenario: FuzzScenario):
@@ -284,12 +267,12 @@ def diff_observations(expected: dict, other: dict) -> Optional[str]:
     return None
 
 
-def diff_memo_traffic(left: dict, right: dict) -> Optional[str]:
-    """Memo hit/miss divergence between two incremental-twin runs."""
-    if left["memo"] != right["memo"]:
+def diff_memo_traffic(full: dict, incremental: dict) -> Optional[str]:
+    """Memo hit/miss divergence between the two production paths."""
+    if full["memo"] != incremental["memo"]:
         return (
-            f"memo traffic diverged: full {left['memo']} vs "
-            f"incremental {right['memo']}"
+            f"memo traffic diverged: full {full['memo']} vs "
+            f"incremental {incremental['memo']}"
         )
     return None
 
@@ -319,39 +302,42 @@ def attempt(
         return None, f"{side} crashed: {type(exc).__name__} at {site}: {exc}"
 
 
-def crash_signature(crash: str) -> str:
-    """The side, exception type and site of a crash description (its
-    message dropped), for matching one crash against another."""
-    return ": ".join(crash.split(": ", 2)[:2])
+def finding_signature(check: str, detail: str) -> str:
+    """What a finding must keep while it shrinks: its check and the
+    side it names — plus, for a crash, the exception type and site (the
+    message dropped)."""
+    kept = 2 if check == "crash" else 1
+    return ": ".join([check] + detail.split(": ", 2)[:kept])
 
 
-def combo_label(combo: Dict[str, Any]) -> str:
-    return "combo " + json.dumps(combo, sort_keys=True)
-
-
-def compare(
+def first_divergence(
     scenario: FuzzScenario,
-    combo: Dict[str, Any],
-    twin: Optional[Dict[str, Any]] = None,
-) -> Optional[Tuple[str, str]]:
-    """Run one comparison from scratch.
+) -> Tuple[Optional[dict], Optional[Tuple[str, str]]]:
+    """Observe the scenario three times and compare, from scratch.
 
-    Without ``twin``, the combination's observation is compared with
-    the reference's; with it, the combination's memo traffic is
-    compared with the twin's.  Returns ``(check, detail)`` — check
-    ``"semantic"``, ``"memo"`` or ``"crash"`` — or ``None`` when the
-    two sides agree.
+    Returns the reference observation (``None`` if it crashed) and the
+    first finding as ``(check, detail)`` — check ``"semantic"``,
+    ``"memo"`` or ``"crash"`` — or ``None`` when every path agrees.
+    Every detail names the diverging path.
     """
-    if twin is None:
-        expected, crash = attempt("reference", observe_reference, scenario)
-    else:
-        expected, crash = attempt(combo_label(twin), observe, scenario, twin)
-    if crash is None:
-        actual, crash = attempt(combo_label(combo), observe, scenario, combo)
+    expected, crash = attempt("reference", observe_reference, scenario)
     if crash is not None:
-        return "crash", crash
-    if twin is None:
+        return None, ("crash", crash)
+    observed: Dict[str, dict] = {}
+    for path in PATHS:
+        actual, crash = attempt(f"{path} path", observe, scenario, path)
+        if crash is not None:
+            return expected, ("crash", crash)
         mismatch = diff_observations(expected, actual)
-        return None if mismatch is None else ("semantic", mismatch)
-    mismatch = diff_memo_traffic(expected, actual)
-    return None if mismatch is None else ("memo", mismatch)
+        if mismatch is not None:
+            return expected, ("semantic", f"{path} path: {mismatch}")
+        observed[path] = actual
+    mismatch = diff_memo_traffic(observed["full"], observed["incremental"])
+    if mismatch is not None:
+        return expected, ("memo", f"incremental path: {mismatch}")
+    return expected, None
+
+
+def compare(scenario: FuzzScenario) -> Optional[Tuple[str, str]]:
+    """The scenario's first finding, ``(check, detail)``, or ``None``."""
+    return first_divergence(scenario)[1]

@@ -16,12 +16,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..batfish.bgpsim import (
-    BgpSimulation,
-    ResimStats,
-    SimulationState,
-    incremental_simulation_enabled,
-)
+from ..batfish.bgpsim import BgpSimulation, ResimStats, SimulationState
 from ..netmodel.device import RouterConfig
 from ..netmodel.ip import Prefix
 from ..netmodel.routing_policy import (
@@ -289,10 +284,6 @@ def _global_simulation(
     """The converged simulation behind one global check."""
     global _LAST_SIM_STATS
     if checker is None:
-        if not incremental_simulation_enabled():
-            state = SimulationState(configs)
-            _LAST_SIM_STATS = state.last_stats
-            return state.simulation
         key = _topology_key(topology)
         checker = _CHECKERS.get(key)
         if checker is None:

@@ -40,7 +40,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..core import toggles
 from ..experiments.campaign import (
     CampaignSummary,
     CompletedScenario,
@@ -219,15 +218,11 @@ class CampaignService:
         self._stop_event = asyncio.Event()
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self._load_campaigns()
-        # The toggle snapshot replays into every worker incarnation —
-        # the same propagation contract as the batch engine's
-        # _init_worker, so a toggle added to the registry reaches
-        # service workers automatically.
+        # Workers need no initializer: the engine has no process-global
+        # options, and service scenarios run neither traced nor linted.
         self._pool = WorkerPool(
             _run_scenario,
             self.workers,
-            initializer=toggles.apply,
-            initargs=(toggles.snapshot(),),
             deadline_s=self.stall_timeout_s,
             context="spawn",
         )

@@ -21,9 +21,7 @@ from .memo import (
     MemoCache,
     cache_stats,
     cache_totals,
-    memoization_enabled,
     reset_caches,
-    set_memoization,
 )
 from .search import PolicySearchResult, policy_always, search_route_policies
 
@@ -38,12 +36,10 @@ __all__ = [
     "cache_totals",
     "canonical_route_map_key",
     "compare_policies",
-    "memoization_enabled",
     "mentioned_communities",
     "mentioned_prefix_ranges",
     "mentioned_protocols",
     "policy_always",
     "reset_caches",
     "search_route_policies",
-    "set_memoization",
 ]

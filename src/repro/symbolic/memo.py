@@ -10,8 +10,10 @@ dictionary instead of re-enumerating a candidate-route universe.
 Each cache is a :class:`MemoCache`: a FIFO-bounded mapping with hit/miss
 accounting, registered in a module-level registry so campaign tooling
 can report an aggregate hit rate (``cache_totals``) and tests can reset
-everything (``reset_caches``) or compare memoized against unmemoized
-runs (``set_memoization``).
+everything (``reset_caches``).  Memoization is always on: a cold run
+is one that starts after ``reset_caches()``, which is how callers that
+need the unmemoized answer (the fuzz reference, the cached-equals-
+uncached tests) get it.
 
 Caches are process-local by design: campaign worker processes each grow
 their own, which keeps the engine fork-safe with zero coordination.
@@ -27,26 +29,19 @@ __all__ = [
     "MemoCache",
     "cache_stats",
     "cache_totals",
-    "memoization_enabled",
     "reset_caches",
-    "set_memoization",
 ]
 
 _MISS = object()
 
 _REGISTRY: List["MemoCache"] = []
 
-_ENABLED = True
-
 
 class MemoCache:
     """A FIFO-bounded dict with hit/miss counters.
 
     ``lookup`` returns ``(hit, value)``; ``store`` inserts, evicting the
-    oldest entry past ``max_entries``.  Honors the module-wide
-    memoization switch: when disabled, every lookup misses and stores
-    are dropped, so memoized and unmemoized code paths can be compared
-    without touching call sites.
+    oldest entry past ``max_entries``.
     """
 
     def __init__(self, name: str, max_entries: int = 4096) -> None:
@@ -72,9 +67,6 @@ class MemoCache:
         return self._misses.value
 
     def lookup(self, key: Hashable) -> Tuple[bool, Any]:
-        if not _ENABLED:
-            self._misses.inc()
-            return False, None
         value = self._entries.get(key, _MISS)
         if value is _MISS:
             self._misses.inc()
@@ -83,8 +75,6 @@ class MemoCache:
         return True, value
 
     def store(self, key: Hashable, value: Any) -> None:
-        if not _ENABLED:
-            return
         if key not in self._entries and len(self._entries) >= self.max_entries:
             self._entries.pop(next(iter(self._entries)))
         self._entries[key] = value
@@ -96,17 +86,6 @@ class MemoCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def set_memoization(enabled: bool) -> None:
-    """Globally enable/disable every registered cache (for benchmarks
-    and memoized-vs-unmemoized regression tests)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-def memoization_enabled() -> bool:
-    return _ENABLED
 
 
 def reset_caches() -> None:

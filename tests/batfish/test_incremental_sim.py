@@ -16,10 +16,8 @@ import pytest
 from repro.batfish.bgpsim import (
     BgpSimulation,
     SimulationState,
-    incremental_simulation_enabled,
     reset_sim_stats,
     rib_snapshots,
-    set_incremental_simulation,
     sim_totals,
 )
 from repro.lightyear.compose import (
@@ -45,10 +43,8 @@ SIZE = 6
 @pytest.fixture(autouse=True)
 def _fresh_simulation_state():
     reset_simulation_states()
-    set_incremental_simulation(True)
     yield
     reset_simulation_states()
-    set_incremental_simulation(True)
 
 
 def _network(family, size=SIZE):
@@ -220,17 +216,6 @@ class TestSimulationState:
         state = SimulationState(copy.deepcopy(configs))
         stats = state.resimulate(copy.deepcopy(configs), None)
         assert stats.mode == "full"
-
-    def test_disabled_toggle_forces_full_run(self):
-        _topology, configs = _network("chain")
-        state = SimulationState(copy.deepcopy(configs))
-        set_incremental_simulation(False)
-        try:
-            assert not incremental_simulation_enabled()
-            stats = state.resimulate(copy.deepcopy(configs), set())
-            assert stats.mode == "full"
-        finally:
-            set_incremental_simulation(True)
 
     def test_router_removal_and_return(self):
         topology, configs = _network("mesh")
@@ -449,17 +434,6 @@ class TestWarmGlobalCheck:
         reset_simulation_states()
         cold = check_global_no_transit(copy.deepcopy(broken), topology)
         assert cold.describe() == verdict.describe()
-
-    def test_disabled_incremental_still_checks_correctly(self):
-        topology, configs = _network("ring")
-        warm = check_global_no_transit(copy.deepcopy(configs), topology)
-        set_incremental_simulation(False)
-        try:
-            cold = check_global_no_transit(copy.deepcopy(configs), topology)
-            assert last_global_sim_stats().mode == "full"
-        finally:
-            set_incremental_simulation(True)
-        assert cold.holds == warm.holds
 
     def test_explicit_checker_is_reused_across_rounds(self):
         topology, configs = _network("chain")

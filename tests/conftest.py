@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import toggles
 from repro.sampleconfigs import load_translation_source
 from repro.juniper import translate_cisco_to_juniper
 from repro.topology import generate_star_network
@@ -10,31 +9,21 @@ from repro.topology.reference import build_reference_configs
 
 
 @pytest.fixture(autouse=True)
-def _toggle_hygiene():
-    """Fail any test that leaks a non-default global toggle or leaves a
-    planted bug enabled.
+def _planted_bug_hygiene():
+    """Fail any test that leaves a planted reference bug enabled.
 
-    The A/B toggles and the planted-bug flags are process globals; a
-    test that flips one and returns without restoring it silently
-    changes the behavior of every test that runs after it.  The state
-    is restored here either way, so one leak cannot cascade — but the
-    leaking test itself fails loudly.
+    The planted-bug flags are process globals; a test that plants one
+    and returns without unplanting it silently changes the behavior of
+    every test that runs after it.  The flags are cleared here either
+    way, so one leak cannot cascade — but the leaking test itself fails
+    loudly.
     """
     from repro.fuzz.reference import _plant_bug, _planted_bugs
 
     yield
-    leaked = toggles.deviations()
     planted = sorted(_planted_bugs())
-    toggles.restore_defaults()
     for name in planted:
         _plant_bug(name, False)
-    assert not leaked, (
-        "test leaked non-default global toggles: "
-        + ", ".join(
-            f"{name}={current!r} (default {default!r})"
-            for name, current, default in leaked
-        )
-    )
     assert not planted, f"test left planted bugs enabled: {planted}"
 
 

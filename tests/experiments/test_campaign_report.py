@@ -329,28 +329,37 @@ class TestServiceDirectoryExpansion:
             summary_from_journals([tmp_path / "plain"])
 
 
-class TestWorkerToggles:
-    def test_initializer_propagates_optimization_toggles(self):
-        """Pool workers must inherit the parent's toggles even under
-        spawn/forkserver start methods, where module globals reset."""
-        from repro.batfish.bgpsim import incremental_simulation_enabled
-        from repro.core import toggles
-        from repro.experiments.campaign import _init_worker
-        from repro.symbolic.memo import memoization_enabled
+class TestWorkerInitializer:
+    def test_lint_and_tracing_reach_pool_workers(self, tmp_path, monkeypatch):
+        """Pool workers must inherit the parent's lint and tracing flags
+        even under spawn/forkserver start methods, where module globals
+        reset.  A ``*args``-forwarding wrapper on ``_init_worker`` (the
+        shape external harnesses patch in) must receive exactly what
+        ``run_campaign`` ships and pass it through."""
+        import os
 
-        all_off = {"incremental_simulation": False, "memoization": False}
+        from repro.experiments import campaign
+
+        real_init = campaign._init_worker
+        seen = tmp_path / "initargs"
+        seen.mkdir()
+
+        def forwarding_init(*args):
+            real_init(*args)
+            (seen / str(os.getpid())).write_text(json.dumps(list(args)))
+
+        monkeypatch.setattr(campaign, "_init_worker", forwarding_init)
+        grid = build_grid(["star", "chain"], [4], seeds=1)
+        trace = tmp_path / "trace.json"
+        campaign.set_campaign_lint(True)
         try:
-            _init_worker(all_off)
-            assert not memoization_enabled()
-            assert not incremental_simulation_enabled()
+            summary = campaign.run_campaign(grid, workers=2, trace_path=trace)
         finally:
-            _init_worker(toggles.DEFAULTS)
-        assert memoization_enabled()
-        assert incremental_simulation_enabled()
-
-    def test_initializer_covers_every_registered_toggle(self):
-        """The snapshot the executor ships must name every toggle in
-        the registry — a new toggle cannot silently skip propagation."""
-        from repro.core import toggles
-
-        assert set(toggles.snapshot()) == set(toggles.DEFAULTS)
+            campaign.set_campaign_lint(False)
+        shipped = [json.loads(path.read_text()) for path in seen.iterdir()]
+        assert shipped and all(args == [True, True] for args in shipped)
+        assert all(row.lint_findings is not None for row in summary.rows)
+        events = json.loads(trace.read_text())["traceEvents"]
+        scenarios = [event for event in events if event["name"] == "scenario"]
+        assert len(scenarios) == len(grid)
+        assert {event["pid"] for event in scenarios} - {os.getpid()}

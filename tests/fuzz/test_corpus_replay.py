@@ -1,9 +1,10 @@
 """Replay every checked-in fuzz corpus file as a differential test.
 
 Each file under ``tests/fuzz_corpus/`` is a minimal scenario the fuzzer
-once shrank from a real divergence.  Replaying re-runs the comparison
-from scratch under the recorded toggle combinations, so a fixed bug
-that regresses makes its corpus file fail here — forever, under tier 1.
+once shrank from a real divergence.  Replaying re-runs the whole
+comparison — reference, full path, incremental path — on the recorded
+scenario from scratch, so a fixed bug that regresses makes its corpus
+file fail here — forever, under tier 1.
 """
 
 from pathlib import Path
@@ -45,7 +46,21 @@ def test_corpus_file_is_well_formed(path):
     assert record["kind"] == "fuzz_repro"
     assert record["check"] in ("semantic", "memo", "crash")
     assert record["mismatch"]  # what the fuzzer saw at capture time
-    assert set(record["combo"]) == set(record["baseline"])
+
+
+def test_replay_never_reads_the_legacy_toggle_keys():
+    """Replay runs the whole comparison on the scenario alone: a record
+    whose ``combo``/``baseline`` name toggles that no longer exist (or
+    that carries none at all) replays exactly like the checked-in one."""
+    record = load_repro(FILES[-1])
+    garbled = {**record, "combo": {"no_such_toggle": 1}, "baseline": None}
+    bare = {
+        key: value
+        for key, value in record.items()
+        if key not in ("combo", "baseline")
+    }
+    assert replay_record(garbled) is None
+    assert replay_record(bare) is None
 
 
 @pytest.mark.parametrize(

@@ -14,12 +14,8 @@ import json
 import pytest
 
 import repro.fuzz.harness as harness_module
-from repro.batfish.bgpsim import (
-    SimulationState,
-    incremental_simulation_enabled,
-)
-from repro.core import toggles
-from repro.fuzz import reference
+from repro.batfish.bgpsim import SimulationState
+from repro.fuzz import oracle, reference
 from repro.fuzz.corpus import replay_record, repro_filename
 from repro.fuzz.harness import (
     FuzzConfig,
@@ -53,7 +49,39 @@ class TestRunFuzzIteration:
         )
         assert not result.ok
         assert _planted_bugs() == frozenset()
-        assert toggles.deviations() == []
+
+    def test_iteration_observes_reference_full_and_incremental(
+        self, monkeypatch
+    ):
+        """A clean iteration is exactly three observations: the
+        reference, then the full and incremental production paths."""
+        calls = []
+        real_observe = oracle.observe
+        real_reference = oracle.observe_reference
+
+        def observe(scenario, path):
+            calls.append(path)
+            return real_observe(scenario, path)
+
+        def observe_reference(scenario):
+            calls.append("reference")
+            return real_reference(scenario)
+
+        monkeypatch.setattr(oracle, "observe", observe)
+        monkeypatch.setattr(oracle, "observe_reference", observe_reference)
+        assert run_fuzz_iteration(0, 0).ok
+        assert calls == ["reference", "full", "incremental"]
+
+    def test_journal_rows_name_no_combination(self, tmp_path):
+        journal = tmp_path / "fuzz.jsonl"
+        run_fuzz(
+            FuzzConfig(fuzz_seed=0, iterations=1, corpus_dir=tmp_path / "c"),
+            journal_path=journal,
+        )
+        header, row = (json.loads(line) for line in journal.open())
+        assert header["version"] == harness_module.FUZZ_JOURNAL_VERSION == 4
+        assert "combos" not in header
+        assert "combo" not in row
 
 
 class TestPlantedBugContract:
@@ -68,6 +96,9 @@ class TestPlantedBugContract:
         assert finding.check == "semantic"
         assert finding.repro is not None
         assert finding.mismatch and "diverged" in finding.mismatch
+        # The planted bug lives in the reference, so the first path
+        # compared against it is the one named.
+        assert finding.mismatch.startswith("full path: step 0:")
 
     def test_shrinker_minimized_the_scenario(self, finding):
         """The generated scenario at (55, 1) carries several edits; the
@@ -101,10 +132,17 @@ class TestPlantedBugContract:
         assert name.startswith("fuzz-")
         assert name.endswith(".json")
         assert repro_filename(finding.repro) == name
+        # Only the scenario and the check are hashed.
+        relabeled = {**finding.repro, "mismatch": "other", "index": 99}
+        assert repro_filename(relabeled) == name
+
+    def test_record_names_no_combination(self, finding):
+        assert "combo" not in finding.repro
+        assert "baseline" not in finding.repro
 
 
 class TestCrashFindings:
-    """A raise under the reference or any combination is an ``ok=False``
+    """A raise in the reference or a production path is an ``ok=False``
     ``crash`` finding that shrinks and replays like a divergence; only a
     scenario-generation ``ValueError`` is still a skip."""
 
@@ -125,11 +163,14 @@ class TestCrashFindings:
         # The crash needs no edit, so the shrinker dropped them all.
         assert result.repro["scenario"]["edits"] == []
 
-    def test_combination_crash_is_a_finding(self, monkeypatch):
+    def test_incremental_path_crash_is_a_finding(self, monkeypatch):
+        """``resimulate`` with a named router runs only on the
+        incremental path (the full path and the fresh global checkers
+        converge from scratch), so the crash fires there alone."""
         real = SimulationState.resimulate
 
         def boom(self, configs, changed_routers=None):
-            if incremental_simulation_enabled():
+            if changed_routers is not None and self.warm:
                 raise KeyError("incremental boom")
             return real(self, configs, changed_routers)
 
@@ -137,12 +178,35 @@ class TestCrashFindings:
         result = run_fuzz_iteration(0, 0)
         assert not result.ok
         assert result.check == "crash"
-        assert result.combo == {
-            "incremental_simulation": True,
-            "memoization": False,
-        }
-        assert "crashed: KeyError at test_harness.py:" in result.mismatch
+        assert result.mismatch.startswith(
+            "incremental path crashed: KeyError at test_harness.py:"
+        )
         assert "in boom" in result.mismatch
+        assert replay_record(result.repro) is not None
+        monkeypatch.undo()
+        assert replay_record(result.repro) is None
+
+    def test_memo_traffic_divergence_is_a_finding(self, monkeypatch):
+        """The incremental path's memo traffic is held to the full
+        path's; a divergence there is a ``memo`` finding that shrinks
+        and replays like any other."""
+        real_observe = oracle.observe
+
+        def observe(scenario, path):
+            observation = real_observe(scenario, path)
+            if path == "incremental":
+                observation["memo"][0] += 1
+            return observation
+
+        monkeypatch.setattr(oracle, "observe", observe)
+        result = run_fuzz_iteration(0, 0)
+        assert not result.ok
+        assert result.check == "memo"
+        assert result.mismatch.startswith(
+            "incremental path: memo traffic diverged: full ["
+        )
+        assert result.repro["check"] == "memo"
+        assert result.repro["scenario"]["edits"] == []
         assert replay_record(result.repro) is not None
         monkeypatch.undo()
         assert replay_record(result.repro) is None
@@ -158,6 +222,41 @@ class TestCrashFindings:
         assert result.ok
         assert result.check is None
         assert result.error == "ValueError: impossible coordinates"
+
+
+class TestFindingSignature:
+    """Shrinking keeps a finding's check and the side it names; a crash
+    also keeps its exception type and site, but not its message."""
+
+    @pytest.mark.parametrize(
+        "check,detail,same,other",
+        [
+            (
+                "semantic",
+                "full path: step 2: RIBs diverged — router R1",
+                "full path: step 0: global verdict diverged",
+                "incremental path: step 2: RIBs diverged — router R1",
+            ),
+            (
+                "memo",
+                "incremental path: memo traffic diverged: full [1, 2]",
+                "incremental path: memo traffic diverged: full [3, 4]",
+                "full path: memo traffic diverged: full [1, 2]",
+            ),
+            (
+                "crash",
+                "reference crashed: KeyError at a.py:3 in f: 'R1'",
+                "reference crashed: KeyError at a.py:3 in f: 'R7'",
+                "reference crashed: KeyError at a.py:9 in g: 'R1'",
+            ),
+        ],
+    )
+    def test_signature_keeps_what_a_shrink_must_preserve(
+        self, check, detail, same, other
+    ):
+        signature = oracle.finding_signature(check, detail)
+        assert oracle.finding_signature(check, same) == signature
+        assert oracle.finding_signature(check, other) != signature
 
 
 class TestRunFuzz:
@@ -190,7 +289,8 @@ class TestRunFuzz:
 
     def test_v2_journal_still_folds_and_resumes(self, tmp_path):
         """A journal written before the reference oracle (version 2: a
-        ``pairs`` header field, five-toggle combos) folds and resumes."""
+        ``pairs`` header field, five-toggle combos) folds and resumes;
+        the ``combo`` column it carries is ignored."""
         from repro.fuzz.scenarios import scenario_at
 
         legacy_combo = {
@@ -220,7 +320,8 @@ class TestRunFuzz:
         folded = fold_fuzz_journal(journal)
         assert sorted(folded) == [0, 1]
         assert folded[0].ok and folded[0].lint_findings == 0
-        assert folded[1].combo == legacy_combo
+        assert not folded[1].ok and folded[1].check == "semantic"
+        assert folded[1].mismatch == "step 0: RIBs diverged"
         resumed = run_fuzz(
             FuzzConfig(
                 fuzz_seed=0, iterations=3, corpus_dir=tmp_path / "corpus"

@@ -1,15 +1,13 @@
-"""Scenario generation: determinism, serialization, the combination matrix."""
+"""Scenario generation: determinism, serialization, the observed paths."""
 
 import json
 
-from repro.core import toggles
-from repro.fuzz.oracle import (
-    FUZZ_FACTORS,
-    REFERENCE_TOGGLES,
-    all_combos,
-    memo_partner,
-)
-from repro.fuzz.scenarios import FuzzScenario, scenario_at
+import pytest
+
+from repro.batfish.bgpsim import reset_sim_stats, sim_totals
+from repro.fuzz.oracle import PATHS, observe
+from repro.lightyear.compose import IncrementalGlobalChecker
+from repro.fuzz.scenarios import FuzzEdit, FuzzScenario, scenario_at
 
 
 class TestScenarioAt:
@@ -44,23 +42,47 @@ class TestScenarioAt:
             assert rebuilt.to_json() == scenario.to_json()
 
 
-ALL_ON = {"incremental_simulation": True, "memoization": True}
+class TestPaths:
+    def test_each_path_converges_and_checks_its_own_way(self, monkeypatch):
+        """The full path converges from scratch at every step and hands
+        each global check a fresh checker; the incremental path must
+        really take the worklist and the warm checker registry, or the
+        three-way comparison checks nothing.  The spy runs every global
+        check cold, so the simulation counters see only the path's own
+        convergence."""
+        import repro.lightyear as lightyear
 
+        real_check = lightyear.check_global_no_transit
+        checkers = {path: [] for path in PATHS}
 
-class TestCombos:
-    def test_all_combos_is_the_full_matrix(self):
-        combos = all_combos()
-        assert len(combos) == 2 ** len(FUZZ_FACTORS) == 4
-        assert len({json.dumps(c, sort_keys=True) for c in combos}) == 4
-        assert combos[0] == REFERENCE_TOGGLES
-        assert ALL_ON in combos
+        def spy(configs, topology, checker=None):
+            checkers[path].append(checker)
+            return real_check(configs, topology, IncrementalGlobalChecker())
 
-    def test_combos_cover_every_registered_toggle(self):
-        for combo in all_combos():
-            assert set(combo) == set(toggles.toggle_names())
+        monkeypatch.setattr(lightyear, "check_global_no_transit", spy)
+        scenario = FuzzScenario(
+            family="mesh",
+            size=6,
+            edits=(
+                FuzzEdit(1, "announce_shared_prefix"),
+                FuzzEdit(2, "bump_local_pref"),
+            ),
+        )
+        incremental_runs = {}
+        for path in PATHS:
+            reset_sim_stats()
+            observe(scenario, path)
+            incremental_runs[path] = sim_totals()["incremental_runs"]
+        assert incremental_runs["full"] == 0
+        assert incremental_runs["incremental"] > 0
+        assert len(checkers["full"]) == 3
+        assert all(
+            isinstance(checker, IncrementalGlobalChecker)
+            for checker in checkers["full"]
+        )
+        assert len(set(map(id, checkers["full"]))) == 3
+        assert checkers["incremental"] == [None] * 3
 
-    def test_memo_partner_is_the_incremental_twin(self):
-        assert memo_partner(ALL_ON) == {**ALL_ON, "incremental_simulation": False}
-        assert memo_partner(REFERENCE_TOGGLES) is None
-        assert memo_partner({**ALL_ON, "memoization": False}) is None
-        assert memo_partner({**ALL_ON, "incremental_simulation": False}) is None
+    def test_unknown_path_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown path"):
+            observe(scenario_at(0, 0), "legacy")

@@ -1,7 +1,8 @@
 """CandidateUniverse memoization: accounting, and cached == uncached.
 
 The caches may only ever change *speed* — every verdict must be
-identical with memoization on, off, or warm, on every topology family.
+identical whether computed cold (caches reset before every invariant)
+or warm, on every topology family.
 """
 
 import pytest
@@ -16,9 +17,7 @@ from repro.symbolic import (
     cache_stats,
     cache_totals,
     canonical_route_map_key,
-    memoization_enabled,
     reset_caches,
-    set_memoization,
 )
 from repro.symbolic.candidates import _POLICY_CACHE, _ROUTES_CACHE
 from repro.topology.families import generate_network
@@ -31,7 +30,6 @@ FAMILIES = ["star", "chain", "ring", "mesh", "dumbbell"]
 def clean_caches():
     reset_caches()
     yield
-    set_memoization(True)
     reset_caches()
 
 
@@ -111,29 +109,29 @@ class TestAccounting:
         hits, misses = cache_totals()
         assert hits >= 1 and misses >= 1
 
-    def test_disabled_memoization_never_hits(self):
-        set_memoization(False)
-        assert not memoization_enabled()
-        config, route_map = _policy()
-        CandidateUniverse.for_policy(config, route_map)
-        CandidateUniverse.for_policy(config, route_map)
-        assert _POLICY_CACHE.hits == 0
-        assert len(_POLICY_CACHE) == 0
+
+def _verify_cold(configs, invariants):
+    """Every invariant checked with no memo entry left from the last."""
+    violations = []
+    for invariant in invariants:
+        reset_caches()
+        violations.extend(verify_invariants(configs, [invariant]))
+    reset_caches()
+    return violations
 
 
 class TestCachedEqualsUncached:
-    """Regression: memoized and unmemoized checks agree on every family."""
+    """Regression: cold and warm checks agree on every family."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_reference_configs_verify_identically(self, family):
         topology = generate_network(family, 5).topology
         configs = build_reference_configs(topology)
         invariants = no_transit_invariants(topology)
-        set_memoization(False)
-        uncached = verify_invariants(configs, invariants)
-        set_memoization(True)
+        uncached = _verify_cold(configs, invariants)
         cold = verify_invariants(configs, invariants)
         warm = verify_invariants(configs, invariants)
+        assert _VERDICT_CACHE.hits >= len(invariants)  # warm really hit
         assert uncached == cold == warm == []
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -148,11 +146,10 @@ class TestCachedEqualsUncached:
         configs = dict(references)
         configs[router] = faulted
         invariants = no_transit_invariants(topology)
-        set_memoization(False)
-        uncached = verify_invariants(configs, invariants)
-        set_memoization(True)
+        uncached = _verify_cold(configs, invariants)
         cached = verify_invariants(configs, invariants)
         warm = verify_invariants(configs, invariants)
+        assert _VERDICT_CACHE.hits >= len(invariants)  # warm really hit
         assert uncached, "the injected fault must violate an invariant"
         assert uncached == cached == warm
         assert any(router == violation.router for violation in uncached)
