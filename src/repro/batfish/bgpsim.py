@@ -294,18 +294,51 @@ class BgpSimulation:
         return self._iterations
 
     def rib(self, hostname: str) -> Dict[Prefix, RibEntry]:
-        """The post-convergence RIB of a router."""
-        if not self._converged:
-            self.run()
-        return dict(self._ribs[hostname])
+        """The post-convergence RIB of a router (a copy)."""
+        return dict(self._converged_rib(hostname))
 
     def has_route(self, hostname: str, prefix: Prefix) -> bool:
-        return prefix in self.rib(hostname)
+        return prefix in self._converged_rib(hostname)
 
     def provenance(self, hostname: str, prefix: Prefix) -> Optional[str]:
         """Hostname of the originator of the installed route, if any."""
-        entry = self.rib(hostname).get(prefix)
+        entry = self._converged_rib(hostname).get(prefix)
         return entry.origin_router if entry is not None else None
+
+    def exported(self, router: str, peer_ip: Ipv4Address) -> "frozenset[Prefix]":
+        """The prefixes ``router`` advertises to its neighbor at
+        ``peer_ip``: those whose RIB entry the neighbor's export map
+        permits, decided through the same prepared binding
+        ``_advertise`` uses.
+
+        A router without BGP, or a neighbor it does not declare, exports
+        nothing (the session would never establish).  An absent or
+        unresolvable export map exports the whole RIB; a policy that
+        raises :class:`PolicyEvaluationError` denies that route.
+        """
+        config = self._configs.get(router)
+        if config is None or config.bgp is None or config.bgp.get_neighbor(peer_ip) is None:
+            return frozenset()
+        rib = self._converged_rib(router)
+        export_map = self._neighbor_policy(config, peer_ip, "export")
+        if export_map is None:
+            return frozenset(rib)
+        find = self._prepared_policy(config, export_map).find_clause
+        permitted = []
+        for prefix, entry in rib.items():
+            try:
+                clause = find(entry.route)
+            except PolicyEvaluationError:
+                continue
+            if clause is not None and clause.action is Action.PERMIT:
+                permitted.append(prefix)
+        return frozenset(permitted)
+
+    def _converged_rib(self, hostname: str) -> Dict[Prefix, RibEntry]:
+        """The converged RIB itself, not a copy: callers only read it."""
+        if not self._converged:
+            self.run()
+        return self._ribs[hostname]
 
     # -- simulation -------------------------------------------------------------------
 

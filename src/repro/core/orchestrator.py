@@ -33,9 +33,7 @@ from ..errors import ErrorCategory, Finding
 from ..juniper import parse_juniper
 from ..lightyear.compose import (
     GlobalCheckResult,
-    IncrementalGlobalChecker,
     check_global_no_transit,
-    last_global_sim_stats,
 )
 from ..lightyear.verifier import verify_invariants
 from ..llm.client import LLMClient
@@ -251,7 +249,6 @@ class SynthesisOrchestrator:
         iip_database: Optional[IIPDatabase] = None,
         iip_ids: Sequence[str] = (),
         pair_programming: bool = False,
-        global_checker: "Optional[IncrementalGlobalChecker]" = None,
     ) -> None:
         self._topology = topology
         self._models = models
@@ -262,12 +259,6 @@ class SynthesisOrchestrator:
         self._iip_ids = list(iip_ids)
         self._modularizer = Modularizer(topology)
         self._pair_programming = pair_programming
-        # An owned checker turns repeated runs over the same topology
-        # into incremental re-simulations driven by *explicit* deltas:
-        # the loop already knows which routers' texts changed since its
-        # previous global check, so no config fingerprinting is needed.
-        self._global_checker = global_checker
-        self._last_router_texts: Optional[Dict[str, str]] = None
 
     def run(self) -> SynthesisRunResult:
         log = PromptLog()
@@ -373,29 +364,8 @@ class SynthesisOrchestrator:
         configs = {
             config.hostname: config for config in snapshot.configs.values()
         }
-        texts = {
-            name: snapshot.texts[f"{name}.cfg"]
-            for name in self._topology.router_names()
-        }
-        changed_routers = None
-        if self._global_checker is not None and self._last_router_texts is not None:
-            # The loop's own delta: routers whose final text differs
-            # from the previous run's — compared directly on the texts
-            # in hand, no re-rendering or hashing.
-            changed_routers = {
-                name
-                for name in set(texts) | set(self._last_router_texts)
-                if texts.get(name) != self._last_router_texts.get(name)
-            }
-        result = check_global_no_transit(
-            configs,
-            self._topology,
-            checker=self._global_checker,
-            changed_routers=changed_routers,
-        )
-        if self._global_checker is not None:
-            self._last_router_texts = texts
-        sim_stats = last_global_sim_stats()
+        result = check_global_no_transit(configs, self._topology)
+        sim_stats = result.sim_stats
         message = result.describe()
         if sim_stats is not None and sim_stats.incremental:
             message += (

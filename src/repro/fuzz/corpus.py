@@ -45,8 +45,10 @@ def make_record(
     index: Optional[int] = None,
 ) -> dict:
     """One corpus record.  ``kind`` is ``"semantic"`` (a production
-    path vs the reference), ``"memo"`` (full-path vs incremental-path
-    memo traffic) or ``"crash"`` (one side raised)."""
+    path vs the reference), ``"exports"`` (a production path's exports
+    to an external attachment vs the reference's), ``"memo"``
+    (full-path vs incremental-path memo traffic) or ``"crash"`` (one
+    side raised)."""
     record = {
         "kind": "fuzz_repro",
         "version": CORPUS_VERSION,

@@ -108,8 +108,9 @@ class FuzzIterationResult:
     index: int
     key: str
     ok: bool
-    # When not ok: "semantic" | "memo" | "crash", or "killed" | "hang"
-    # when the index's worker died or missed FUZZ_DEADLINE_S.
+    # When not ok: "semantic" | "exports" | "memo" | "crash", or
+    # "killed" | "hang" when the index's worker died or missed
+    # FUZZ_DEADLINE_S.
     check: Optional[str] = None
     mismatch: Optional[str] = None
     repro: Optional[dict] = None  # shrunk corpus record, ready to write

@@ -3,13 +3,14 @@
 An *observation* is a plain JSON-able structure capturing everything
 the conformance contract promises is path-independent: after every
 policy edit, the full RIB of every router (attributes, provenance
-path), the local-invariant violations with their witness routes, and
-the global no-transit verdict with per-role breakdowns.
+path), the prefixes each external attachment is exported, the
+local-invariant violations with their witness routes, and the global
+no-transit verdict with per-role breakdowns.
 
 Every scenario is observed three times:
 
-* the *reference* (:func:`observe_reference`) — RIBs from the
-  spec-derived reference simulator (:mod:`repro.fuzz.reference`),
+* the *reference* (:func:`observe_reference`) — RIBs and exports from
+  the spec-derived reference simulator (:mod:`repro.fuzz.reference`),
   violations and verdicts from the production checks run cold:
   ``reset_caches()`` before every invariant and a fresh
   :class:`~repro.lightyear.compose.IncrementalGlobalChecker` per step;
@@ -21,15 +22,17 @@ Every scenario is observed three times:
   router named, and the process's warm registry checker for the
   global check.
 
-Both production observations must equal the reference's.  Their
-symbolic memo traffic must also equal each other's: canonical memo
-keys make the hit/miss pattern independent of how the RIBs were
-converged.
+Both production observations must equal the reference's; a
+divergence in what an attachment is exported is an ``"exports"``
+finding, any other an ``"semantic"`` one.  Their symbolic memo traffic
+must also equal each other's: canonical memo keys make the hit/miss
+pattern independent of how the RIBs were converged.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import os
 import traceback
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -86,9 +89,17 @@ def canonical_ribs(ribs: Dict[str, dict]) -> Dict[str, Dict[str, list]]:
     }
 
 
-def _step_observation(ribs, violations, check) -> dict:
+def _step_observation(ribs, topology, exported, violations, check) -> dict:
+    """One step; ``exported(router, peer_ip)`` is the side's prefix set
+    for one external attachment."""
     return {
         "ribs": canonical_ribs(ribs),
+        "exports": {
+            f"{peer.router} -> {peer.peer_ip}": sorted(
+                str(prefix) for prefix in exported(peer.router, peer.peer_ip)
+            )
+            for peer in topology.externals
+        },
         "violations": [
             [
                 violation.router,
@@ -136,6 +147,8 @@ def observe(scenario: FuzzScenario, path: str) -> dict:
         checker = None if incremental else IncrementalGlobalChecker()
         return _step_observation(
             ribs,
+            topology,
+            simulation.exported,
             verify_invariants(copy.deepcopy(configs), invariants),
             check_global_no_transit(copy.deepcopy(configs), topology, checker),
         )
@@ -160,8 +173,11 @@ def observe_reference(scenario: FuzzScenario) -> dict:
         for invariant in invariants:
             reset_caches()
             violations.extend(verify_invariants(configs, [invariant]))
+        ribs = reference.simulate(configs)
         return _step_observation(
-            reference.simulate(configs),
+            ribs,
+            topology,
+            functools.partial(reference.exported, ribs, configs),
             violations,
             check_global_no_transit(
                 configs, topology, IncrementalGlobalChecker()
@@ -233,34 +249,49 @@ def _first_rib_divergence(base: dict, other: dict) -> str:
     return "rib key sets differ"
 
 
-def diff_observations(expected: dict, other: dict) -> Optional[str]:
-    """The first semantic divergence between two observations, or
-    ``None`` when they agree (memo traffic is compared separately —
-    see :func:`diff_memo_traffic`)."""
+def diff_observations(
+    expected: dict, other: dict
+) -> Optional[Tuple[str, str]]:
+    """The first divergence between two observations as ``(check,
+    detail)`` — check ``"exports"`` when an attachment's exports
+    diverge, else ``"semantic"`` — or ``None`` when they agree (memo
+    traffic is compared separately — see :func:`diff_memo_traffic`)."""
     base_steps, other_steps = expected["steps"], other["steps"]
     if len(base_steps) != len(other_steps):
-        return (
+        return "semantic", (
             f"step counts differ: {len(base_steps)} vs {len(other_steps)}"
         )
     for index, (left, right) in enumerate(zip(base_steps, other_steps)):
         if left["applied"] != right["applied"]:
-            return (
+            return "semantic", (
                 f"step {index}: edit applicability diverged "
                 f"({left['applied']} vs {right['applied']})"
             )
         if left["ribs"] != right["ribs"]:
-            return f"step {index}: RIBs diverged — " + _first_rib_divergence(
-                left["ribs"], right["ribs"]
+            return "semantic", (
+                f"step {index}: RIBs diverged — "
+                + _first_rib_divergence(left["ribs"], right["ribs"])
+            )
+        if left["exports"] != right["exports"]:
+            attachment = min(
+                key
+                for key in set(left["exports"]) | set(right["exports"])
+                if left["exports"].get(key) != right["exports"].get(key)
+            )
+            return "exports", (
+                f"step {index}: exports diverged — attachment {attachment}: "
+                f"expected={left['exports'].get(attachment)} vs "
+                f"{right['exports'].get(attachment)}"
             )
         if left["violations"] != right["violations"]:
-            return (
+            return "semantic", (
                 f"step {index}: invariant violations diverged "
                 f"(expected {len(left['violations'])}: "
                 f"{left['violations']} vs {len(right['violations'])}: "
                 f"{right['violations']})"
             )
         if left["global"] != right["global"]:
-            return (
+            return "semantic", (
                 f"step {index}: global verdict diverged "
                 f"({left['global']} vs {right['global']})"
             )
@@ -317,8 +348,8 @@ def first_divergence(
 
     Returns the reference observation (``None`` if it crashed) and the
     first finding as ``(check, detail)`` — check ``"semantic"``,
-    ``"memo"`` or ``"crash"`` — or ``None`` when every path agrees.
-    Every detail names the diverging path.
+    ``"exports"``, ``"memo"`` or ``"crash"`` — or ``None`` when every
+    path agrees.  Every detail names the diverging path.
     """
     expected, crash = attempt("reference", observe_reference, scenario)
     if crash is not None:
@@ -328,9 +359,9 @@ def first_divergence(
         actual, crash = attempt(f"{path} path", observe, scenario, path)
         if crash is not None:
             return expected, ("crash", crash)
-        mismatch = diff_observations(expected, actual)
-        if mismatch is not None:
-            return expected, ("semantic", f"{path} path: {mismatch}")
+        found = diff_observations(expected, actual)
+        if found is not None:
+            return expected, (found[0], f"{path} path: {found[1]}")
         observed[path] = actual
     mismatch = diff_memo_traffic(observed["full"], observed["incremental"])
     if mismatch is not None:

@@ -18,6 +18,9 @@ deliberately naive, so that it is obviously right rather than fast:
 * **One export pipeline** (:func:`_export`): no reflection back to the
   route's source, the sender's export map, the sender's AS prepend and
   next-hop rewrite, the AS-loop check, then the receiver's import map.
+* **Exports to external peers** (:func:`exported`): a converged RIB
+  read through the same export-map step, for a neighbour that has no
+  router behind it.
 
 It shares only the config IR, session derivation and
 :meth:`~repro.netmodel.routing_policy.RouteMap.evaluate` with
@@ -36,7 +39,13 @@ from ..netmodel.ip import Prefix
 from ..netmodel.route import Protocol, Route
 from ..netmodel.routing_policy import PolicyEvaluationError
 
-__all__ = ["ReferenceDidNotConverge", "RefEntry", "prefers", "simulate"]
+__all__ = [
+    "ReferenceDidNotConverge",
+    "RefEntry",
+    "exported",
+    "prefers",
+    "simulate",
+]
 
 MAX_ROUNDS = 64
 
@@ -101,6 +110,28 @@ def simulate(
             return new
         ribs = new
     raise ReferenceDidNotConverge(f"no fixpoint after {MAX_ROUNDS} rounds")
+
+
+def exported(
+    ribs: Dict[str, Dict[Prefix, RefEntry]],
+    configs: Dict[str, RouterConfig],
+    router: str,
+    peer_ip,
+) -> "frozenset[Prefix]":
+    """The prefixes ``router`` would advertise to the external neighbour
+    at ``peer_ip``, given the converged ``ribs``: every RIB entry its
+    export policy toward that neighbour permits.  A neighbour the router
+    does not declare (or a router without BGP) gets nothing — the
+    session never comes up — which :func:`_apply` alone would not say,
+    since it passes routes through for a missing neighbour."""
+    config = configs.get(router)
+    if config is None or config.bgp is None or config.bgp.get_neighbor(peer_ip) is None:
+        return frozenset()
+    return frozenset(
+        prefix
+        for prefix, entry in ribs[router].items()
+        if _apply(config, peer_ip, "export", entry.route) is not None
+    )
 
 
 def _originations(name: str, config: RouterConfig) -> list:

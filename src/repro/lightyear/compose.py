@@ -19,11 +19,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..batfish.bgpsim import BgpSimulation, ResimStats, SimulationState
 from ..netmodel.device import RouterConfig
 from ..netmodel.ip import Prefix
-from ..netmodel.routing_policy import (
-    Action,
-    PolicyEvaluationError,
-    SetCommunity,
-)
+from ..netmodel.routing_policy import SetCommunity
 from ..topology.model import Topology
 from .invariants import EgressFilterInvariant, IngressTagInvariant
 
@@ -33,7 +29,6 @@ __all__ = [
     "IncrementalGlobalChecker",
     "check_composition",
     "check_global_no_transit",
-    "last_global_sim_stats",
     "reset_simulation_states",
 ]
 
@@ -139,13 +134,16 @@ class GlobalCheckResult:
     ``role_verdicts`` maps each role label (``CUSTOMER``, ``ISP_3``,
     ``PEER_7``, ...) to whether *that role's* obligations held — the
     per-role reading of the same violations, populated by the
-    role-assigned (border) checker.
+    role-assigned (border) checker.  ``sim_stats`` records how the
+    simulation behind the check converged (full or incremental); it
+    never takes part in equality.
     """
 
     transit_violations: List[str] = field(default_factory=list)
     customer_unreachable: List[str] = field(default_factory=list)
     isp_prefixes_missing_at_hub: List[str] = field(default_factory=list)
     role_verdicts: Dict[str, bool] = field(default_factory=dict)
+    sim_stats: Optional[ResimStats] = field(default=None, compare=False)
 
     @property
     def holds(self) -> bool:
@@ -243,19 +241,10 @@ _CHECKER_LIMIT = 8
 # caches, so campaign workers stay fork-safe with zero coordination.
 _CHECKERS: "OrderedDict[Tuple, IncrementalGlobalChecker]" = OrderedDict()
 
-_LAST_SIM_STATS: Optional[ResimStats] = None
-
 
 def reset_simulation_states() -> None:
     """Drop every warm simulation state (tests and benchmarks)."""
-    global _LAST_SIM_STATS
     _CHECKERS.clear()
-    _LAST_SIM_STATS = None
-
-
-def last_global_sim_stats() -> Optional[ResimStats]:
-    """How the most recent :func:`check_global_no_transit` converged."""
-    return _LAST_SIM_STATS
 
 
 def _topology_key(topology: Topology) -> Tuple:
@@ -275,31 +264,18 @@ def _topology_key(topology: Topology) -> Tuple:
     )
 
 
-def _global_simulation(
-    configs: Dict[str, RouterConfig],
-    topology: Topology,
-    checker: Optional[IncrementalGlobalChecker],
-    changed_routers: "Optional[Set[str]]" = None,
-) -> BgpSimulation:
-    """The converged simulation behind one global check."""
-    global _LAST_SIM_STATS
+def _registry_checker(topology: Topology) -> IncrementalGlobalChecker:
+    """The process-local warm checker for ``topology``."""
+    key = _topology_key(topology)
+    checker = _CHECKERS.get(key)
     if checker is None:
-        key = _topology_key(topology)
-        checker = _CHECKERS.get(key)
-        if checker is None:
-            checker = IncrementalGlobalChecker()
-            _CHECKERS[key] = checker
-            while len(_CHECKERS) > _CHECKER_LIMIT:
-                _CHECKERS.popitem(last=False)
-        else:
-            _CHECKERS.move_to_end(key)
-        # Registry checkers are shared across callers, so an explicit
-        # delta (which is relative to *this caller's* previous check)
-        # cannot be trusted against whatever state the registry holds.
-        changed_routers = None
-    simulation = checker.simulate(configs, changed_routers)
-    _LAST_SIM_STATS = checker.last_stats
-    return simulation
+        checker = IncrementalGlobalChecker()
+        _CHECKERS[key] = checker
+        while len(_CHECKERS) > _CHECKER_LIMIT:
+            _CHECKERS.popitem(last=False)
+    else:
+        _CHECKERS.move_to_end(key)
+    return checker
 
 
 def check_global_no_transit(
@@ -326,13 +302,30 @@ def check_global_no_transit(
     check, the explicit ``changed_routers`` delta, which skips the
     config-fingerprint diffing entirely — or let the process-local
     registry keep a warm state per topology (fingerprint-diffed, since
-    registry state is shared between callers).
+    registry state is shared between callers).  ``sim_stats`` on the
+    result says how that simulation converged.
     """
     from ..topology.families import is_hub_star
 
-    simulation = _global_simulation(configs, topology, checker, changed_routers)
-    if not is_hub_star(topology):
-        return _check_global_border(configs, topology, simulation)
+    if checker is None:
+        checker = _registry_checker(topology)
+        # Registry checkers are shared across callers, so an explicit
+        # delta (which is relative to *this caller's* previous check)
+        # cannot be trusted against whatever state the registry holds.
+        changed_routers = None
+    simulation = checker.simulate(configs, changed_routers)
+    if is_hub_star(topology):
+        result = _check_global_star(topology, simulation)
+    else:
+        result = _check_global_border(configs, topology, simulation)
+    result.sim_stats = checker.last_stats
+    return result
+
+
+def _check_global_star(
+    topology: Topology, simulation: BgpSimulation
+) -> GlobalCheckResult:
+    """RIB-based global check for the hub (star) topology."""
     result = GlobalCheckResult()
     hub = topology.router("R1")
     customer_prefixes = list(hub.networks)
@@ -362,42 +355,6 @@ def check_global_no_transit(
                     f"R1 has no route to {sender}'s prefix {prefix}"
                 )
     return result
-
-
-def _exported_prefixes(
-    simulation: BgpSimulation,
-    router: str,
-    config: RouterConfig,
-    peer_ip,
-) -> "set[Prefix]":
-    """The prefixes a router would advertise to one external peer,
-    applying the export route-map attached to that neighbor (if any).
-
-    An undeclared neighbor exports nothing — the session would never
-    establish, which the reachability checks then surface.
-    """
-    if config.bgp is None:
-        return set()
-    neighbor = config.bgp.get_neighbor(peer_ip)
-    if neighbor is None:
-        return set()
-    export_map = (
-        config.get_route_map(neighbor.export_policy)
-        if neighbor.export_policy is not None
-        else None
-    )
-    exported = set()
-    for entry in simulation.rib(router).values():
-        route = entry.route
-        if export_map is not None:
-            try:
-                outcome = export_map.evaluate(route, config)
-            except PolicyEvaluationError:
-                continue
-            if outcome.action is Action.DENY:
-                continue
-        exported.add(route.prefix)
-    return exported
 
 
 def _check_global_border(
@@ -457,8 +414,8 @@ def _check_global_border(
             )
             blame(attachment.role_name)
             continue
-        exported = _exported_prefixes(
-            simulation, attachment.router, config, attachment.peer.peer_ip
+        exported = simulation.exported(
+            attachment.router, attachment.peer.peer_ip
         )
         for other_index, named_prefixes in sorted(prefixes_of.items()):
             if other_index == attachment.index:
@@ -483,14 +440,7 @@ def _check_global_border(
                 )
                 blame(attachment.role_name, customer_name)
     for customer in roles.customers:
-        config = configs.get(customer.router)
-        exported = (
-            _exported_prefixes(
-                simulation, customer.router, config, customer.peer.peer_ip
-            )
-            if config is not None
-            else set()
-        )
+        exported = simulation.exported(customer.router, customer.peer.peer_ip)
         for index in roles.indices():
             if roles.groups[index][0].kind is not RoleKind.PROVIDER:
                 continue  # peers owe the customers nothing

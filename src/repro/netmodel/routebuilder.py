@@ -4,8 +4,8 @@ A :class:`RouteBuilder` is a scratch route: it is seeded from an
 immutable :class:`~repro.netmodel.route.Route`, accumulates any number
 of attribute changes in place, and :meth:`~RouteBuilder.freeze`-s back
 into a canonical (interned) ``Route`` exactly once.  Policy evaluation
-drives it transactionally — ``RouteMapClause`` set chains,
-``PreparedRouteMap.apply``, and the whole export pipeline of
+drives it transactionally — ``RouteMapClause`` set chains and the
+whole export pipeline of
 ``bgpsim._advertise`` (export map → AS prepend → next-hop rewrite →
 import map) thread a single builder, so one session export allocates
 one ``Route`` rather than one per changed attribute.

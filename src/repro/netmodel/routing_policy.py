@@ -494,21 +494,6 @@ class RouteMap:
             )
             raise
 
-    def apply(self, builder: RouteBuilder, context: PolicyContext) -> Action:
-        """Evaluate against a shared builder's current state.
-
-        Match conditions read the builder's live attributes; on a
-        permit, the firing clause's set chain is recorded on the same
-        builder and *no route is allocated* — the caller freezes once
-        at the end of its transaction.  Deny (explicit or implicit)
-        leaves the builder untouched.
-        """
-        clause = self.find_clause(builder, context)
-        if clause is None or clause.action is Action.DENY:
-            return Action.DENY
-        clause.apply_sets(builder)
-        return Action.PERMIT
-
     def prepare(self, context: PolicyContext) -> "PreparedRouteMap":
         """Bind the map to a context once for batch evaluation.
 
@@ -661,19 +646,6 @@ class PreparedRouteMap:
         except PolicyEvaluationError as exc:
             exc.annotate(router=self._router, route_map=self.name)
             raise
-
-    def apply(self, builder: RouteBuilder) -> Action:
-        """Transactional form of :meth:`evaluate`.
-
-        Bound matchers read the builder's live attributes; a permit
-        records the firing clause's sets on the same builder.  Mirrors
-        :meth:`RouteMap.apply` on the bound context.
-        """
-        clause = self.find_clause(builder)
-        if clause is None or clause.action is Action.DENY:
-            return Action.DENY
-        clause.apply_sets(builder)
-        return Action.PERMIT
 
 
 def _undefined_raiser(

@@ -24,7 +24,6 @@ from repro.lightyear.compose import (
     IncrementalGlobalChecker,
     _config_fingerprints,
     check_global_no_transit,
-    last_global_sim_stats,
     reset_simulation_states,
 )
 from repro.netmodel.ip import Prefix
@@ -314,10 +313,9 @@ class TestExplicitDeltas:
         _announce_extra_network(edited["R2"], rng)
         # Lie about the delta: claim nothing changed.  The registry
         # path must fingerprint anyway and still find R2.
-        check_global_no_transit(
+        stats = check_global_no_transit(
             copy.deepcopy(edited), topology, changed_routers=set()
-        )
-        stats = last_global_sim_stats()
+        ).sim_stats
         assert stats.incremental
         assert stats.dirty_routers == 1
 
@@ -412,10 +410,10 @@ class TestWarmGlobalCheck:
     def test_repeat_check_goes_incremental_with_same_verdict(self, family):
         topology, configs = _network(family)
         first = check_global_no_transit(copy.deepcopy(configs), topology)
-        assert last_global_sim_stats().mode == "full"
+        assert first.sim_stats.mode == "full"
         second = check_global_no_transit(copy.deepcopy(configs), topology)
-        assert last_global_sim_stats().incremental
-        assert last_global_sim_stats().dirty_routers == 0
+        assert second.sim_stats.incremental
+        assert second.sim_stats.dirty_routers == 0
         assert second.holds == first.holds
         assert second.describe() == first.describe()
 
@@ -427,7 +425,7 @@ class TestWarmGlobalCheck:
         broken = copy.deepcopy(configs)
         assert _replace_filter_with_permit_all(broken["R3"], rng)
         verdict = check_global_no_transit(broken, topology)
-        stats = last_global_sim_stats()
+        stats = verdict.sim_stats
         assert stats.incremental
         assert stats.dirty_routers == 1
         assert not verdict.holds

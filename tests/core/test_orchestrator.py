@@ -116,32 +116,6 @@ class TestSynthesisOrchestrator:
         assert result.verified
         assert result.global_check.holds
 
-    def test_owned_checker_gets_explicit_deltas_across_runs(self, star7):
-        """With an owned checker, the loop hands the global check its
-        own changed-router delta (compared on the final texts it
-        already holds) instead of letting the checker fingerprint every
-        config; a repeat run over unchanged texts re-simulates an empty
-        delta incrementally."""
-        from repro.lightyear.compose import IncrementalGlobalChecker
-
-        checker = IncrementalGlobalChecker()
-        models = make_synthesis_models(star7.topology, seed=0)
-        human = ScriptedHuman(synthesis_fault_catalog(star7.topology))
-        orchestrator = SynthesisOrchestrator(
-            star7.topology, models, human=human,
-            iip_ids=DEFAULT_IIP_IDS, global_checker=checker,
-        )
-        first = orchestrator.run()
-        assert first.global_check.holds
-        assert checker.last_stats.mode == "full"
-        # fresh models, same seed -> byte-identical final texts
-        orchestrator._models = make_synthesis_models(star7.topology, seed=0)
-        second = orchestrator.run()
-        assert second.global_check.holds
-        assert checker.last_stats.incremental
-        assert checker.last_stats.dirty_routers == 0
-        assert checker._fingerprints is None  # never fingerprinted
-
     def test_clean_assignment_needs_no_corrections(self, star7):
         assignment = {name: [] for name in star7.topology.router_names()}
         result, _ = self._run(star7, assignment=assignment)

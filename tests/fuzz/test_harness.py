@@ -14,7 +14,7 @@ import json
 import pytest
 
 import repro.fuzz.harness as harness_module
-from repro.batfish.bgpsim import SimulationState
+from repro.batfish.bgpsim import BgpSimulation, SimulationState
 from repro.fuzz import oracle, reference
 from repro.fuzz.corpus import replay_record, repro_filename
 from repro.fuzz.harness import (
@@ -24,6 +24,7 @@ from repro.fuzz.harness import (
     run_fuzz_iteration,
 )
 from repro.fuzz.reference import _plant_bug, _planted_bugs
+from repro.fuzz.scenarios import FuzzScenario
 
 # Seed 55's index 1 is the planted-bug finding the contract tests
 # shrink; its index 0 finds the bug too, so two iterations give the
@@ -222,6 +223,47 @@ class TestCrashFindings:
         assert result.ok
         assert result.check is None
         assert result.error == "ValueError: impossible coordinates"
+
+
+class TestExportsFindings:
+    """Every step observes what each external attachment is exported;
+    the production paths read it from ``BgpSimulation.exported``, the
+    reference from its own spec-derived export step."""
+
+    # Two customers and two dual-homed ISPs on a random graph: the
+    # egress filters withhold each ISP's prefixes from the other.
+    SCENARIO = FuzzScenario(
+        family="random", size=6, topology_seed=3, roles="c2i2h2"
+    )
+
+    def test_every_step_carries_one_export_list_per_attachment(self):
+        topology = oracle.materialize_scenario(self.SCENARIO).topology
+        attachments = {
+            f"{peer.router} -> {peer.peer_ip}" for peer in topology.externals
+        }
+        for observation in (
+            oracle.observe_reference(self.SCENARIO),
+            oracle.observe(self.SCENARIO, "full"),
+            oracle.observe(self.SCENARIO, "incremental"),
+        ):
+            for step in observation["steps"]:
+                assert set(step["exports"]) == attachments
+        assert oracle.compare(self.SCENARIO) is None
+
+    def test_export_map_ignored_is_an_exports_finding(self, monkeypatch):
+        """A production ``exported`` that skips the export map hands the
+        global check the same wrong answer on every side, so only the
+        reference's own export step can catch it."""
+        monkeypatch.setattr(
+            BgpSimulation,
+            "exported",
+            lambda self, router, peer_ip: frozenset(self.rib(router)),
+        )
+        check, detail = oracle.compare(self.SCENARIO)
+        assert check == "exports"
+        assert detail.startswith("full path: step 0: exports diverged")
+        monkeypatch.undo()
+        assert oracle.compare(self.SCENARIO) is None
 
 
 class TestFindingSignature:

@@ -12,8 +12,8 @@ import pytest
 from repro.batfish.bgpsim import SimulationState
 from repro.cisco import parse_cisco
 from repro.fuzz.oracle import canonical_ribs
-from repro.fuzz.reference import _plant_bug, simulate
-from repro.netmodel import Prefix
+from repro.fuzz.reference import _apply, _plant_bug, exported, simulate
+from repro.netmodel import Ipv4Address, Prefix
 
 PREFIX = Prefix.parse("10.99.0.0/16")
 
@@ -136,6 +136,35 @@ class TestHandComputed:
         ribs = simulate(_network(links, originators={1}, extra={2: deny}))
         assert _held(ribs, "R2")[:3] == ((1,), "R1", "R1")
         assert _held(ribs, "R3") is None
+
+
+
+class TestExported:
+    """What a router exports to a neighbour with no router behind it."""
+
+    def test_declared_neighbour_gets_what_the_export_map_permits(self):
+        """R2 exports R1's route to R3 unless its map toward R3 denies."""
+        links = [(1, 2), (2, 3)]
+        configs = _network(links, originators={1})
+        to_r3 = Ipv4Address.parse("10.2.3.3")
+        assert exported(simulate(configs), configs, "R2", to_r3) == {PREFIX}
+        deny = (
+            " neighbor 10.2.3.3 route-map BLOCK out",
+            "route-map BLOCK deny 10",
+        )
+        blocked = _network(links, originators={1}, extra={2: deny})
+        assert exported(simulate(blocked), blocked, "R2", to_r3) == set()
+
+    def test_undeclared_neighbour_gets_nothing(self):
+        """R1 declares no neighbour at 203.0.113.9, so no session comes
+        up there and nothing is exported — although the bare export
+        step would pass the route through, having no policy to apply."""
+        configs = _network([(1, 2)], originators={1})
+        ribs = simulate(configs)
+        stranger = Ipv4Address.parse("203.0.113.9")
+        assert exported(ribs, configs, "R1", stranger) == set()
+        route = ribs["R1"][PREFIX].route
+        assert _apply(configs["R1"], stranger, "export", route) is route
 
 
 def test_unknown_planted_bug_is_rejected():

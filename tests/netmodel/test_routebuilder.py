@@ -9,19 +9,14 @@ from repro.netmodel import (
     Community,
     Ipv4Address,
     Prefix,
-    Protocol,
     Route,
     RouteBuilder,
     intern_communities,
     route_totals,
 )
-from repro.netmodel import Origin, RouterConfig, Vendor
+from repro.netmodel import Origin
 from repro.netmodel.aspath import AsPath
 from repro.netmodel.routing_policy import (
-    Action,
-    MatchProtocol,
-    RouteMap,
-    RouteMapClause,
     SetAsPathPrepend,
     SetCommunity,
     SetLocalPref,
@@ -112,49 +107,6 @@ class TestBuilderTransactions:
         builder = RouteBuilder(_route())
         builder.set_origin(Origin.INCOMPLETE)
         assert builder.freeze().origin is Origin.INCOMPLETE
-
-
-def _tagging_map():
-    route_map = RouteMap("TAG")
-    deny = RouteMapClause(seq=10, action=Action.DENY)
-    deny.matches.append(MatchProtocol(Protocol.OSPF))
-    route_map.add_clause(deny)
-    permit = RouteMapClause(seq=20, action=Action.PERMIT)
-    permit.sets.append(SetCommunity((Community(7, 7),), additive=True))
-    route_map.add_clause(permit)
-    return route_map
-
-
-class TestTransactionalApply:
-    """RouteMap.apply / PreparedRouteMap.apply: the builder-level form
-    of evaluate — identical dispositions, mutations only on permit."""
-
-    def test_apply_matches_evaluate(self):
-        config = RouterConfig(hostname="r", vendor=Vendor.CISCO)
-        route_map = _tagging_map()
-        for route in (_route(), _route(protocol=Protocol.OSPF)):
-            expected = route_map.evaluate(route, config)
-            builder = RouteBuilder(route)
-            action = route_map.apply(builder, config)
-            assert action is expected.action
-            assert builder.freeze() == expected.route
-            prepared_builder = RouteBuilder(route)
-            prepared_action = route_map.prepare(config).apply(prepared_builder)
-            assert prepared_action is expected.action
-            assert prepared_builder.freeze() == expected.route
-
-    def test_deny_leaves_builder_clean(self):
-        config = RouterConfig(hostname="r", vendor=Vendor.CISCO)
-        builder = RouteBuilder(_route(protocol=Protocol.OSPF))
-        assert _tagging_map().apply(builder, config) is Action.DENY
-        assert not builder.dirty
-
-    def test_implicit_deny_on_empty_map(self):
-        config = RouterConfig(hostname="r", vendor=Vendor.CISCO)
-        builder = RouteBuilder(_route())
-        assert RouteMap("EMPTY").apply(builder, config) is Action.DENY
-        assert RouteMap("EMPTY").prepare(config).apply(builder) is Action.DENY
-        assert not builder.dirty
 
 
 class TestRouteSerialization:
