@@ -562,10 +562,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _cmd_tables(args: argparse.Namespace) -> int:
     from .experiments.tables import (
         render_figure4,
+        render_iip_ablation,
+        render_incremental_policy,
         render_leverage_no_transit,
         render_leverage_translation,
         render_local_vs_global,
+        render_pipeline_trace,
         render_scaling,
+        render_seed_distribution,
         render_table1,
         render_table2,
         render_table3,
@@ -585,6 +589,14 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         print(renderer(seed=args.seed))
         print()
     print(render_figure4())
+    for renderer in (
+        render_pipeline_trace,
+        render_iip_ablation,
+        render_incremental_policy,
+        render_seed_distribution,
+    ):
+        print()
+        print(renderer(seed=args.seed))
     return 0
 
 

@@ -1,7 +1,7 @@
 """Experiment drivers that regenerate every table and figure.
 
-See DESIGN.md's per-experiment index for the mapping from paper artifact
-to driver and bench.
+``tables`` renders each paper artifact from these drivers;
+``repro tables`` prints them all.
 """
 
 from .ablation import (

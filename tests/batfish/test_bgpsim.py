@@ -137,7 +137,7 @@ class TestStarNoTransit:
         }
         configs = _parse_all(texts)
         sim = BgpSimulation(configs)
-        sim.run()
+        assert sim.run() >= 2  # a star takes more than one round
         # R2's prefix must not reach R3 (tagged + filtered at R1 egress).
         assert not sim.has_route("R3", Prefix.parse("1.0.0.0/24"))
         # The customer prefix reaches every spoke.

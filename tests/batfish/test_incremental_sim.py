@@ -200,6 +200,95 @@ class TestDifferentialPerFamily:
         _assert_matches_full(state, restored, topology)
 
 
+#: Edits per cell of the strip/restore rotation below.
+ROTATION_EDITS = 6
+
+#: (family, size) -> (full, incremental) evaluations summed over the
+#: rotation's edits: the full side converges each edited network from
+#: scratch, the incremental side re-simulates from the previous state.
+#: Each ceiling is the count measured when it was recorded.
+ROTATION_CEILINGS = {
+    ("chain", 4): (474, 88),
+    ("chain", 6): (1800, 195),
+    ("chain", 10): (9036, 507),
+    ("chain", 14): (25584, 699),
+    ("dumbbell", 4): (300, 48),
+    ("dumbbell", 6): (816, 84),
+    ("dumbbell", 10): (2604, 156),
+    ("dumbbell", 14): (5400, 228),
+    ("mesh", 4): (972, 348),
+    ("mesh", 6): (5640, 1454),
+    ("mesh", 9): (31032, 5667),
+    ("mesh", 12): (102036, 13428),
+    ("ring", 4): (666, 174),
+    ("ring", 6): (1794, 313),
+    ("ring", 10): (5742, 670),
+    ("ring", 14): (15774, 1174),
+    ("star", 4): (279, 126),
+    ("star", 6): (705, 330),
+    ("star", 10): (2133, 1026),
+    ("star", 14): (4329, 2106),
+}
+
+
+def _strip_egress_filters(config):
+    """A copy of ``config`` whose FILTER_COMM_OUT_* maps permit all."""
+    stripped = copy.deepcopy(config)
+    for name in stripped.route_maps:
+        if name.startswith("FILTER_COMM_OUT_"):
+            permit_all = RouteMap(name)
+            permit_all.add_clause(RouteMapClause(seq=10, action=Action.PERMIT))
+            stripped.route_maps[name] = permit_all
+    return stripped
+
+
+class TestEditRotationCounts:
+    """The repair loop's canonical delta, as a count gate: strip one
+    border router's egress filters, then restore them, rotating through
+    the routers that have any.  Every edit must re-simulate
+    incrementally and land on the RIBs of a from-scratch converge, and
+    neither side may do more evaluations than its recorded ceiling.
+    Simulations only read configs, so edits share unchanged routers."""
+
+    @pytest.mark.parametrize(
+        "cell", sorted(ROTATION_CEILINGS), ids=lambda cell: "%s-%d" % cell
+    )
+    def test_rotation_is_exact_and_within_ceilings(self, cell):
+        family, size = cell
+        _topology, reference = _network(family, size)
+        routers = [
+            name
+            for name in sorted(reference)
+            if any(
+                map_name.startswith("FILTER_COMM_OUT_")
+                for map_name in reference[name].route_maps
+            )
+        ]
+        state = SimulationState(reference)
+        configs = dict(reference)
+        full_evaluations = incremental_evaluations = 0
+        for step in range(ROTATION_EDITS):
+            victim = routers[step % len(routers)]
+            configs = dict(configs)
+            configs[victim] = (
+                _strip_egress_filters(reference[victim])
+                if step % 2 == 0
+                else reference[victim]
+            )
+            full = BgpSimulation(configs)
+            full.run()
+            full_evaluations += full.evaluations
+            stats = state.resimulate(configs, {victim})
+            incremental_evaluations += stats.evaluations
+            assert stats.incremental, f"edit {step} fell back to full"
+            assert rib_snapshots(state.simulation) == rib_snapshots(full)
+        max_full, max_incremental = ROTATION_CEILINGS[cell]
+        assert full_evaluations <= max_full, full_evaluations
+        assert incremental_evaluations <= max_incremental, (
+            incremental_evaluations
+        )
+
+
 class TestSimulationState:
     def test_no_change_resimulation_is_cheap_and_identical(self):
         _topology, configs = _network("mesh")

@@ -138,6 +138,7 @@ class TestDiffer:
         report = compare_configs(source, translated)
         assert report.clean
         assert report.first_finding() is None
+        assert compare_configs(source, translated, stop_at_first_class=False).clean
 
     def test_structure_masks_later_classes(self, pair):
         source, translated = pair

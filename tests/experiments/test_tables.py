@@ -1,5 +1,6 @@
 """Tests for the table renderers and sample-prompt harvesting."""
 
+from repro.cli import main
 from repro.experiments.prompts import (
     all_stage_prompts,
     sample_synthesis_prompts,
@@ -62,3 +63,68 @@ class TestRenderers:
         assert "routers: 5" in text
         assert "links: 4" in text
         assert "external peers: 5" in text
+
+
+#: The first line of every ``repro tables`` section, in print order.
+SECTION_HEADERS = [
+    "Table 1: sample rectification prompts for translation",
+    "Table 2: translation errors found and whether the generated prompt "
+    "sufficed",
+    "Cisco-to-Juniper translation:",
+    "Table 3: sample rectification prompts for local synthesis",
+    "No-transit synthesis (7-router star):",
+    "Figure 1 vs Figure 2: pair programming vs VPP",
+    "Local vs global specification prompts",
+    "Leverage vs star size (extension)",
+    "Figure 4: star network topology used for local synthesis",
+    "Figure 3: COSYNTH pipeline trace (translation use case)",
+    "IIP ablation (7-router star):",
+    "Incremental policy addition (paper §6 question)",
+    "Leverage distribution across seeds",
+]
+
+
+def test_tables_command_prints_every_artifact(capsys):
+    """``repro tables`` at seed 0: every section in order, the paper's
+    headline numbers pinned exactly."""
+    assert main(["tables"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    starts = [
+        next(i for i, line in enumerate(lines) if line.startswith(header))
+        for header in SECTION_HEADERS
+    ]
+    assert starts == sorted(starts)
+
+    # §3.2 and §4.2 leverage (paper: ~10X and 6X).
+    assert (
+        "Cisco-to-Juniper translation: 19 automated prompts, 2 human "
+        "prompts -> leverage 9.5X (paper: ~20/2 = 10X); verified=True"
+    ) in lines
+    assert (
+        "No-transit synthesis (7-router star): 14 automated prompts, 2 "
+        "human prompts -> leverage 7.0X (paper: 12/2 = 6X); verified=True"
+    ) in lines
+    # Table 2: exactly the paper's two errors need a human.
+    not_fixed = [line.split("  ")[0] for line in lines if line.endswith(" No")]
+    assert not_fixed == [
+        "Different redistribution into BGP",
+        "Different prefix lengths match in BGP",
+    ]
+    assert "[topology]" in lines and "[semantic]" in lines
+    (global_spec,) = [line for line in lines if line.startswith("global spec:")]
+    assert "did NOT converge" in global_spec
+    assert "as-path-regex -> deny-at-customer" in global_spec
+
+    assert any(line.startswith("stage sequence: syntax") for line in lines)
+    assert "verified: True" in lines
+    (iip,) = [line for line in lines if line.startswith("IIP ablation")]
+    assert "draft error(s) prevented" in iip
+    assert "both verified: True" in iip
+    (checked,) = [line for line in lines if line.startswith("with re-")]
+    (control,) = [line for line in lines if line.startswith("without re-")]
+    assert "caught and repaired" in checked
+    assert "NOT caught" in control
+    assert (
+        "seed=0: translation 19a/2h =  9.5X | synthesis 14a/2h =  7.0X"
+    ) in lines

@@ -24,6 +24,7 @@ class TestGenerator:
     def test_reference_renders_and_reparses_clean(self):
         juniper, _ = _reference()
         text = generate_juniper(juniper)
+        assert "policy-statement" in text
         result = parse_juniper(text)
         assert not result.warnings
 
