@@ -8,8 +8,6 @@ from .bgpsim import (
     ResimStats,
     RibEntry,
     SimulationState,
-    reset_sim_stats,
-    sim_totals,
 )
 from .session import BfSessionError, BgpSessionRow, Session
 from .snapshot import Snapshot, detect_vendor
@@ -25,6 +23,4 @@ __all__ = [
     "SimulationState",
     "Snapshot",
     "detect_vendor",
-    "reset_sim_stats",
-    "sim_totals",
 ]

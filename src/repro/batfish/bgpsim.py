@@ -73,9 +73,7 @@ __all__ = [
     "ResimStats",
     "RibEntry",
     "SimulationState",
-    "reset_sim_stats",
     "rib_snapshots",
-    "sim_totals",
 ]
 
 MAX_ITERATIONS = 64
@@ -746,41 +744,14 @@ def _entry_key(entry: RibEntry) -> Tuple:
 # -- incremental re-simulation -------------------------------------------------
 
 # Registry-backed simulation accounting.  The converge timers double as
-# run counters: ``count`` is runs, ``total_s`` is accumulated wall-clock
-# (the ``sim_totals`` view below re-exposes the historical key names).
+# run counters: ``sim.full_converge.count`` is full runs,
+# ``sim.incremental_converge.count`` incremental ones.
 _FULL_CONVERGE = timer("sim.full_converge")
 _INCREMENTAL_CONVERGE = timer("sim.incremental_converge")
 _FULL_EVALUATIONS = counter("sim.full_evaluations")
 _INCREMENTAL_EVALUATIONS = counter("sim.incremental_evaluations")
 _REUSED_ENTRIES = counter("sim.reused_entries")
 _INVALIDATED_ENTRIES = counter("sim.invalidated_entries")
-
-
-def reset_sim_stats() -> None:
-    for instrument in (
-        _FULL_CONVERGE,
-        _INCREMENTAL_CONVERGE,
-        _FULL_EVALUATIONS,
-        _INCREMENTAL_EVALUATIONS,
-        _REUSED_ENTRIES,
-        _INVALIDATED_ENTRIES,
-    ):
-        instrument.reset()
-
-
-def sim_totals() -> Dict[str, float]:
-    """Process-wide simulation accounting (full vs incremental runs,
-    route evaluations, wall-clock) for campaign reporting."""
-    return {
-        "full_runs": _FULL_CONVERGE.count,
-        "incremental_runs": _INCREMENTAL_CONVERGE.count,
-        "full_evaluations": _FULL_EVALUATIONS.value,
-        "incremental_evaluations": _INCREMENTAL_EVALUATIONS.value,
-        "full_time_s": _FULL_CONVERGE.total_s,
-        "incremental_time_s": _INCREMENTAL_CONVERGE.total_s,
-        "reused_entries": _REUSED_ENTRIES.value,
-        "invalidated_entries": _INVALIDATED_ENTRIES.value,
-    }
 
 
 @dataclass(frozen=True)

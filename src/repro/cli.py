@@ -560,43 +560,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from .experiments.tables import (
-        render_figure4,
-        render_iip_ablation,
-        render_incremental_policy,
-        render_leverage_no_transit,
-        render_leverage_translation,
-        render_local_vs_global,
-        render_pipeline_trace,
-        render_scaling,
-        render_seed_distribution,
-        render_table1,
-        render_table2,
-        render_table3,
-        render_vpp_ablation,
-    )
+    from .experiments.tables import render_all
 
-    for renderer in (
-        render_table1,
-        render_table2,
-        render_leverage_translation,
-        render_table3,
-        render_leverage_no_transit,
-        render_vpp_ablation,
-        render_local_vs_global,
-        render_scaling,
-    ):
-        print(renderer(seed=args.seed))
-        print()
-    print(render_figure4())
-    for renderer in (
-        render_pipeline_trace,
-        render_iip_ablation,
-        render_incremental_policy,
-        render_seed_distribution,
-    ):
-        print()
-        print(renderer(seed=args.seed))
+    print(render_all(seed=args.seed))
     return 0
 
 
@@ -658,28 +624,9 @@ def _cmd_incremental(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import statistics
+    from .experiments.tables import render_seed_distribution
 
-    from .experiments import (
-        run_no_transit_experiment,
-        run_translation_experiment,
-    )
-
-    translation, synthesis = [], []
-    for seed in range(args.seeds):
-        translation.append(run_translation_experiment(seed=seed))
-        synthesis.append(run_no_transit_experiment(seed=seed))
-        print(
-            f"seed={seed}: translation "
-            f"{translation[-1].leverage:.1f}X, synthesis "
-            f"{synthesis[-1].leverage:.1f}X"
-        )
-    print(
-        f"mean: translation "
-        f"{statistics.mean(t.leverage for t in translation):.1f}X "
-        f"(paper ~10X), synthesis "
-        f"{statistics.mean(s.leverage for s in synthesis):.1f}X (paper 6X)"
-    )
+    print(render_seed_distribution(seeds=args.seeds))
     return 0
 
 

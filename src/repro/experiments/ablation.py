@@ -21,6 +21,7 @@ from typing import Optional
 
 from ..llm import BehaviorProfile
 from .no_transit import run_no_transit_experiment
+from .runs import run_once
 from .translation import run_translation_experiment
 
 __all__ = ["AblationResult", "run_translation_ablation", "run_synthesis_ablation"]
@@ -54,9 +55,12 @@ class AblationResult:
 def run_translation_ablation(
     seed: int = 0, profile: Optional[BehaviorProfile] = None
 ) -> AblationResult:
-    vpp = run_translation_experiment(seed=seed, profile=profile)
-    manual = run_translation_experiment(
-        seed=seed, profile=profile, pair_programming=True
+    vpp = run_once(run_translation_experiment, seed=seed, profile=profile)
+    manual = run_once(
+        run_translation_experiment,
+        seed=seed,
+        profile=profile,
+        pair_programming=True,
     )
     return _to_result("translation", vpp, manual)
 
@@ -64,9 +68,12 @@ def run_translation_ablation(
 def run_synthesis_ablation(
     seed: int = 0, profile: Optional[BehaviorProfile] = None
 ) -> AblationResult:
-    vpp = run_no_transit_experiment(seed=seed, profile=profile)
-    manual = run_no_transit_experiment(
-        seed=seed, profile=profile, pair_programming=True
+    vpp = run_once(run_no_transit_experiment, seed=seed, profile=profile)
+    manual = run_once(
+        run_no_transit_experiment,
+        seed=seed,
+        profile=profile,
+        pair_programming=True,
     )
     return _to_result("no-transit synthesis", vpp, manual)
 

@@ -23,6 +23,9 @@ JSON/CSV summaries byte-identical to an uninterrupted run.  To keep
 that guarantee at any worker count, the written summaries contain only
 deterministic fields; wall-clock timings, cache statistics, and
 BGP-simulation accounting live in the journal and the rendered report.
+Each journal record carries the :mod:`repro.obs` registry delta its
+scenario produced (``metrics``), and every accounting figure the report
+prints is derived from those deltas.
 
 Each worker process keeps warm per-topology simulation states (see
 :mod:`repro.batfish.bgpsim`), so consecutive scenarios of the same
@@ -59,6 +62,7 @@ from ..obs import (
     tracing_enabled,
     write_trace,
 )
+from ..symbolic.memo import memo_totals, memo_traffic
 from ..topology.families import FAMILIES
 from .journal import append_line, open_journal, read_records
 from .pool import Lost, WorkerPool
@@ -97,10 +101,14 @@ __all__ = [
 # record's flat metrics delta (``metrics`` — the repro.obs registry
 # series the scenario moved); v7 adds the static-analysis columns
 # (``lint_findings``/``lint_high``) to rows of ``--lint`` campaigns
-# (absent — not null — on rows of campaigns that did not lint).
+# (absent — not null — on rows of campaigns that did not lint); v8
+# drops the eight named counters (``cache_hits`` ... ``routes_reused``)
+# from each record, since every one is derived from ``metrics``.
 # Folding stays bidirectionally tolerant: unknown row fields are
-# dropped, missing ones take their dataclass defaults.
-JOURNAL_VERSION = 7
+# dropped, missing ones take their dataclass defaults, and a pre-v6
+# record (named counters, no ``metrics``) folds with its rows intact
+# but no accounting.
+JOURNAL_VERSION = 8
 
 # Named behavior profiles a scenario can select.  Names (not objects)
 # travel through the grid so scenarios stay trivially picklable.
@@ -201,6 +209,13 @@ class ScenarioResult:
     # stay byte-identical to v6.
     lint_findings: Optional[int] = None
     lint_high: Optional[int] = None
+
+    def key(self) -> str:
+        """The :meth:`Scenario.key` of this row's coordinates."""
+        coordinates = {
+            spec.name: getattr(self, spec.name) for spec in fields(Scenario)
+        }
+        return Scenario(**coordinates).key()
 
     def render(self) -> str:
         if self.error is not None:
@@ -474,39 +489,15 @@ class CompletedScenario:
     route-datapath counters, phase timers).  These numbers are
     operational (they depend on what the worker process happened to
     have cached or converged already), so they live here and in the
-    journal — never in the deterministic summary outputs.  The legacy
-    named fields are views over ``metrics`` kept for journal and
-    reporting compatibility.  ``spans`` carries the scenario's Chrome
-    trace events when tracing is on — live-run payload only, never
-    journaled.
+    journal — never in the deterministic summary outputs.  ``spans``
+    carries the scenario's Chrome trace events when tracing is on —
+    live-run payload only, never journaled.
     """
 
     key: str
     row: ScenarioResult
-    cache_hits: int = 0
-    cache_misses: int = 0
-    sim_full_runs: int = 0
-    sim_incremental_runs: int = 0
-    sim_full_evals: int = 0
-    sim_incremental_evals: int = 0
-    routes_built: int = 0
-    routes_reused: int = 0
     metrics: Dict[str, float] = field(default_factory=dict)
     spans: List[dict] = field(default_factory=list)
-
-
-def _memo_totals(metrics: Dict[str, float]) -> Tuple[int, int]:
-    """Aggregate ``(hits, misses)`` over every ``memo.*`` series."""
-    hits = 0
-    misses = 0
-    for name, value in metrics.items():
-        if not name.startswith("memo."):
-            continue
-        if name.endswith(".hits"):
-            hits += int(value)
-        elif name.endswith(".misses"):
-            misses += int(value)
-    return hits, misses
 
 
 #: Scenarios currently executing in this process.  A level, not an
@@ -531,26 +522,11 @@ def execute_scenario(scenario: Scenario, network=None) -> CompletedScenario:
             row = run_scenario(scenario, network)
     finally:
         _INFLIGHT.dec()
-    metrics = metrics_delta(before, counters_snapshot())
-    spans = drain_events() if tracing_enabled() else []
-    cache_hits, cache_misses = _memo_totals(metrics)
     return CompletedScenario(
         key=scenario.key(),
         row=row,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        sim_full_runs=int(metrics.get("sim.full_converge.count", 0)),
-        sim_incremental_runs=int(
-            metrics.get("sim.incremental_converge.count", 0)
-        ),
-        sim_full_evals=int(metrics.get("sim.full_evaluations", 0)),
-        sim_incremental_evals=int(
-            metrics.get("sim.incremental_evaluations", 0)
-        ),
-        routes_built=int(metrics.get("route.routes_built", 0)),
-        routes_reused=int(metrics.get("route.routes_reused", 0)),
-        metrics=metrics,
-        spans=spans,
+        metrics=metrics_delta(before, counters_snapshot()),
+        spans=drain_events() if tracing_enabled() else [],
     )
 
 
@@ -580,19 +556,7 @@ def journal_line(completed: CompletedScenario) -> str:
         # row-shape-identical to v6.
         row.pop("lint_findings", None)
         row.pop("lint_high", None)
-    record = {
-        "kind": "result",
-        "key": completed.key,
-        "row": row,
-        "cache_hits": completed.cache_hits,
-        "cache_misses": completed.cache_misses,
-        "sim_full_runs": completed.sim_full_runs,
-        "sim_incremental_runs": completed.sim_incremental_runs,
-        "sim_full_evals": completed.sim_full_evals,
-        "sim_incremental_evals": completed.sim_incremental_evals,
-        "routes_built": completed.routes_built,
-        "routes_reused": completed.routes_reused,
-    }
+    record = {"kind": "result", "key": completed.key, "row": row}
     if completed.metrics:
         # The full registry delta (v6); trace spans are deliberately
         # NOT journaled — they are live-run payload only.
@@ -666,18 +630,6 @@ def _scan_journal(
                     if name in known
                 }),
                 metrics=metrics,
-                cache_hits=int(record.get("cache_hits") or 0),
-                cache_misses=int(record.get("cache_misses") or 0),
-                sim_full_runs=int(record.get("sim_full_runs") or 0),
-                sim_incremental_runs=int(
-                    record.get("sim_incremental_runs") or 0
-                ),
-                sim_full_evals=int(record.get("sim_full_evals") or 0),
-                sim_incremental_evals=int(
-                    record.get("sim_incremental_evals") or 0
-                ),
-                routes_built=int(record.get("routes_built") or 0),
-                routes_reused=int(record.get("routes_reused") or 0),
             )
         except (TypeError, ValueError):
             continue
@@ -697,8 +649,8 @@ def _summarize(
     total: int,
     resumed: int,
 ) -> "CampaignSummary":
-    """Build a summary from completed records, folding their per-scenario
-    cache and simulation accounting (shared by live runs and --report)."""
+    """Build a summary from completed records, merging their per-scenario
+    metric deltas (shared by live runs and --report)."""
     return CampaignSummary(
         rows=[record.row for record in ordered],
         workers=workers,
@@ -706,18 +658,6 @@ def _summarize(
         total_scenarios=total,
         resumed=resumed,
         metrics=metrics_merge({}, *(record.metrics for record in ordered)),
-        cache_hits=sum(record.cache_hits for record in ordered),
-        cache_misses=sum(record.cache_misses for record in ordered),
-        sim_full_runs=sum(record.sim_full_runs for record in ordered),
-        sim_incremental_runs=sum(
-            record.sim_incremental_runs for record in ordered
-        ),
-        sim_full_evals=sum(record.sim_full_evals for record in ordered),
-        sim_incremental_evals=sum(
-            record.sim_incremental_evals for record in ordered
-        ),
-        routes_built=sum(record.routes_built for record in ordered),
-        routes_reused=sum(record.routes_reused for record in ordered),
     )
 
 
@@ -852,17 +792,10 @@ class CampaignSummary:
     total_scenarios: Optional[int] = None  # grid size; None -> len(rows)
     resumed: int = 0  # rows recovered from the journal, not re-run
     # The merged registry delta over every row (per-cache memo traffic,
-    # phase timers, ...).  Render-only, like every counter below: never
-    # part of to_dict/write_json/write_csv.
+    # convergences, route-datapath counters, phase timers): the source
+    # of every accounting figure.  Render-only: never part of
+    # to_dict/write_json/write_csv.
     metrics: Dict[str, float] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    sim_full_runs: int = 0
-    sim_incremental_runs: int = 0
-    sim_full_evals: int = 0
-    sim_incremental_evals: int = 0
-    routes_built: int = 0
-    routes_reused: int = 0
 
     @property
     def errors(self) -> List[ScenarioResult]:
@@ -876,20 +809,25 @@ class CampaignSummary:
     def incomplete(self) -> bool:
         return len(self.rows) < self.total
 
+    def _count(self, series: str) -> int:
+        return int(self.metrics.get(series, 0))
+
     @property
     def cache_hit_rate(self) -> Optional[float]:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else None
+        hits, misses = memo_totals(self.metrics)
+        return hits / (hits + misses) if hits + misses else None
 
     @property
     def sim_speedup(self) -> Optional[float]:
         """Estimated incremental-vs-full work ratio: mean route
         evaluations per full convergence over mean per incremental."""
-        if not self.sim_full_runs or not self.sim_incremental_runs:
+        full_runs = self._count("sim.full_converge.count")
+        incremental_runs = self._count("sim.incremental_converge.count")
+        if not full_runs or not incremental_runs:
             return None
-        full_mean = self.sim_full_evals / self.sim_full_runs
+        full_mean = self._count("sim.full_evaluations") / full_runs
         incremental_mean = (
-            self.sim_incremental_evals / self.sim_incremental_runs
+            self._count("sim.incremental_evaluations") / incremental_runs
         )
         if incremental_mean <= 0:
             return None
@@ -1009,23 +947,28 @@ class CampaignSummary:
         )
         rate = self.cache_hit_rate
         if rate is not None:
+            hits, misses = memo_totals(self.metrics)
             lines.append(
-                f"  symbolic cache: {self.cache_hits} hits / "
-                f"{self.cache_misses} misses ({100 * rate:.1f}% hit rate)"
+                f"  symbolic cache: {hits} hits / {misses} misses "
+                f"({100 * rate:.1f}% hit rate)"
             )
-        if self.sim_full_runs or self.sim_incremental_runs:
+        full_runs = self._count("sim.full_converge.count")
+        incremental_runs = self._count("sim.incremental_converge.count")
+        if full_runs or incremental_runs:
             sim_line = (
-                f"  bgp simulation: {self.sim_full_runs} full / "
-                f"{self.sim_incremental_runs} incremental convergence(s)"
+                f"  bgp simulation: {full_runs} full / "
+                f"{incremental_runs} incremental convergence(s)"
             )
             speedup = self.sim_speedup
             if speedup is not None:
                 sim_line += f" (incremental does ~{speedup:.1f}x less work)"
             lines.append(sim_line)
-        if self.routes_built or self.routes_reused:
+        built = self._count("route.routes_built")
+        reused = self._count("route.routes_reused")
+        if built or reused:
             lines.append(
-                f"  route datapath: {self.routes_built} route(s) built / "
-                f"{self.routes_reused} reused without copying"
+                f"  route datapath: {built} route(s) built / "
+                f"{reused} reused without copying"
             )
         linted = self.linted_rows
         if linted:
@@ -1047,21 +990,12 @@ class CampaignSummary:
         return "\n".join(lines)
 
     def cache_breakdown(self) -> List[Tuple[str, int, int]]:
-        """Per-cache ``(name, hits, misses)`` from the merged metrics —
-        aggregated across every worker process, unlike the historical
-        parent-only ``cache_stats()`` view (worker caches were silently
-        lost).  Empty for pre-v6 journals, which carried only totals."""
-        caches: Dict[str, Dict[str, int]] = {}
-        for name, value in self.metrics.items():
-            if not name.startswith("memo."):
-                continue
-            if name.endswith(".hits"):
-                caches.setdefault(name[5:-5], {})["hits"] = int(value)
-            elif name.endswith(".misses"):
-                caches.setdefault(name[5:-7], {})["misses"] = int(value)
+        """Per-cache ``(name, hits, misses)`` from the merged metrics,
+        aggregated across every worker process.  Empty for pre-v6
+        journals, which carried no ``metrics``."""
         return [
-            (name, counts.get("hits", 0), counts.get("misses", 0))
-            for name, counts in sorted(caches.items())
+            (name, hits, misses)
+            for name, (hits, misses) in memo_traffic(self.metrics).items()
         ]
 
     def phase_breakdown(self) -> List[Tuple[str, int, float, float]]:
@@ -1083,14 +1017,6 @@ class CampaignSummary:
                 for phase, (count, total_s, max_s) in phases.items()
             ),
             key=lambda entry: (-entry[2], entry[0]),
-        )
-
-    @staticmethod
-    def _row_key(row: ScenarioResult) -> str:
-        return (
-            f"{row.family}:{row.size}:{row.seed}:{row.profile}:"
-            f"{'iips' if row.iips else 'noiips'}:{row.roles}:{row.topo}:"
-            f"{row.place}"
         )
 
     def render_profile(self, top: int = 10) -> str:
@@ -1137,7 +1063,7 @@ class CampaignSummary:
                 suffix = "  ERROR" if row.error is not None else ""
                 lines.append(
                     f"    {row.duration_s:>8.3f}s  "
-                    f"{self._row_key(row)}{suffix}"
+                    f"{row.key()}{suffix}"
                 )
         breakdown = self.cache_breakdown()
         if breakdown:

@@ -15,6 +15,7 @@ from typing import Optional
 from ..core import DEFAULT_IIP_IDS
 from ..llm import BehaviorProfile
 from .no_transit import NoTransitExperiment, run_no_transit_experiment
+from .runs import run_once
 
 __all__ = ["IipAblationResult", "run_iip_ablation"]
 
@@ -60,13 +61,15 @@ def run_iip_ablation(
     profile: Optional[BehaviorProfile] = None,
 ) -> IipAblationResult:
     """Run the synthesis experiment with the full IIP set and with none."""
-    with_iips = run_no_transit_experiment(
+    with_iips = run_once(
+        run_no_transit_experiment,
         router_count=router_count,
         seed=seed,
         iip_ids=DEFAULT_IIP_IDS,
         profile=profile,
     )
-    without_iips = run_no_transit_experiment(
+    without_iips = run_once(
+        run_no_transit_experiment,
         router_count=router_count,
         seed=seed,
         iip_ids=(),

@@ -35,6 +35,7 @@ from ..topology import StarNetwork, generate_network, generate_star_network
 from ..topology.generator import CUSTOMER_ASN
 from ..topology.reference import build_reference_configs
 from .no_transit import run_no_transit_experiment
+from .runs import run_once
 
 __all__ = [
     "LocalVsGlobalResult",
@@ -237,8 +238,11 @@ def run_local_vs_global(
             f"The no-transit policy is violated: {counterexample}. "
             f"Please fix the configurations."
         )
-    local = run_no_transit_experiment(
-        router_count=router_count, seed=seed, family=family
+    local = run_once(
+        run_no_transit_experiment,
+        router_count=router_count,
+        seed=seed,
+        family=family,
     )
     return LocalVsGlobalResult(
         global_converged=converged,

@@ -13,6 +13,7 @@ from typing import Dict, List, Tuple
 
 from ..core.leverage import PromptKind
 from .no_transit import run_no_transit_experiment
+from .runs import run_once
 from .translation import run_translation_experiment
 
 __all__ = [
@@ -29,7 +30,7 @@ def sample_translation_prompts(seed: int = 0) -> List[Tuple[str, str]]:
 
     One representative automated prompt per class, in the paper's order.
     """
-    experiment = run_translation_experiment(seed=seed)
+    experiment = run_once(run_translation_experiment, seed=seed)
     return _first_per_stage(
         experiment.result.prompt_log.records, _TRANSLATION_STAGES
     )
@@ -40,7 +41,7 @@ def sample_synthesis_prompts(seed: int = 0) -> List[Tuple[str, str]]:
 
     The paper's synthesis table shows several topology examples; this
     returns one per class (the bench prints all topology prompts)."""
-    experiment = run_no_transit_experiment(seed=seed)
+    experiment = run_once(run_no_transit_experiment, seed=seed)
     return _first_per_stage(
         experiment.result.prompt_log.records, _SYNTHESIS_STAGES
     )

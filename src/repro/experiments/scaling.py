@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 from ..core import DEFAULT_IIP_IDS
 from ..llm import BehaviorProfile
 from .no_transit import run_no_transit_experiment
+from .runs import run_once
 
 __all__ = ["ScalingPoint", "run_scaling_sweep"]
 
@@ -47,7 +48,8 @@ def run_scaling_sweep(
     """Run the no-transit experiment across star sizes."""
     points: List[ScalingPoint] = []
     for size in sizes:
-        experiment = run_no_transit_experiment(
+        experiment = run_once(
+            run_no_transit_experiment,
             router_count=size,
             seed=seed,
             iip_ids=DEFAULT_IIP_IDS,

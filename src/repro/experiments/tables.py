@@ -1,9 +1,11 @@
 """Paper-style rendering of every paper artifact.
 
 Each function returns the printable text of one table, figure or
-measured claim; ``repro tables`` prints them all in paper order, then
-the extensions, so its output can be read line-by-line against the
-paper.  Every section is deterministic for a given seed.
+measured claim; :func:`render_all` (``repro tables``) joins them all in
+paper order, then the extensions, so its output can be read
+line-by-line against the paper.  Every section is deterministic for a
+given seed, so sections that report on the same experiment run share
+one result (:mod:`repro.experiments.runs`).
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from .incremental import run_incremental_policy_experiment
 from .local_vs_global import run_local_vs_global
 from .no_transit import run_no_transit_experiment
 from .prompts import sample_synthesis_prompts, sample_translation_prompts
+from .runs import run_once, shared_runs
 from .scaling import run_scaling_sweep
 from .translation import run_translation_experiment
 
 __all__ = [
+    "render_all",
     "render_figure4",
     "render_iip_ablation",
     "render_incremental_policy",
@@ -52,7 +56,7 @@ def render_table1(seed: int = 0) -> str:
 
 def render_table2(seed: int = 0) -> str:
     """Table 2: translation errors and whether GPT-4 fixed them."""
-    experiment = run_translation_experiment(seed=seed)
+    experiment = run_once(run_translation_experiment, seed=seed)
     lines = [
         "Table 2: translation errors found and whether the generated "
         "prompt sufficed",
@@ -67,7 +71,7 @@ def render_table2(seed: int = 0) -> str:
 
 def render_leverage_translation(seed: int = 0) -> str:
     """§3.2's leverage measurement."""
-    experiment = run_translation_experiment(seed=seed)
+    experiment = run_once(run_translation_experiment, seed=seed)
     log = experiment.result.prompt_log
     return (
         f"Cisco-to-Juniper translation: {log.automated} automated prompts, "
@@ -88,7 +92,7 @@ def render_table3(seed: int = 0) -> str:
 
 def render_leverage_no_transit(seed: int = 0) -> str:
     """§4.2's leverage measurement."""
-    experiment = run_no_transit_experiment(seed=seed)
+    experiment = run_once(run_no_transit_experiment, seed=seed)
     log = experiment.result.prompt_log
     return (
         f"No-transit synthesis (7-router star): {log.automated} automated "
@@ -148,7 +152,7 @@ def render_pipeline_trace(seed: int = 0) -> str:
     """Figure 3 as data: the verifier-stage sequence of the translation
     loop.  Syntax is verified before semantics, and a semantic fix can
     re-enter the syntax stage (a back-edge)."""
-    experiment = run_translation_experiment(seed=seed)
+    experiment = run_once(run_translation_experiment, seed=seed)
     transcript = experiment.result.transcript
     sequence = transcript.stage_sequence()
     lines = [
@@ -187,14 +191,14 @@ def render_incremental_policy(seed: int = 0) -> str:
     )
 
 
-def render_seed_distribution(seed: int = 0) -> str:
-    """Both headline leverages over ``SEED_SWEEP`` seeds from ``seed`` on
+def render_seed_distribution(seed: int = 0, seeds: int = SEED_SWEEP) -> str:
+    """Both headline leverages over ``seeds`` seeds from ``seed`` on
     (the paper reports single runs)."""
     lines = ["Leverage distribution across seeds", _RULE]
     translation, synthesis = [], []
-    for sweep_seed in range(seed, seed + SEED_SWEEP):
-        t = run_translation_experiment(seed=sweep_seed)
-        s = run_no_transit_experiment(seed=sweep_seed)
+    for sweep_seed in range(seed, seed + seeds):
+        t = run_once(run_translation_experiment, seed=sweep_seed)
+        s = run_once(run_no_transit_experiment, seed=sweep_seed)
         translation.append(t.leverage)
         synthesis.append(s.leverage)
         lines.append(
@@ -209,3 +213,26 @@ def render_seed_distribution(seed: int = 0) -> str:
         f"(paper 6X)"
     )
     return "\n".join(lines)
+
+
+def render_all(seed: int = 0) -> str:
+    """Every section, paper artifacts first, then the extensions: the
+    text ``repro tables`` prints.  Each distinct experiment runs once."""
+    with shared_runs():
+        return "\n\n".join(
+            [
+                render_table1(seed=seed),
+                render_table2(seed=seed),
+                render_leverage_translation(seed=seed),
+                render_table3(seed=seed),
+                render_leverage_no_transit(seed=seed),
+                render_vpp_ablation(seed=seed),
+                render_local_vs_global(seed=seed),
+                render_scaling(seed=seed),
+                render_figure4(),
+                render_pipeline_trace(seed=seed),
+                render_iip_ablation(seed=seed),
+                render_incremental_policy(seed=seed),
+                render_seed_distribution(seed=seed),
+            ]
+        )

@@ -130,7 +130,8 @@ def observe(scenario: FuzzScenario, path: str) -> dict:
     from ..batfish.bgpsim import SimulationState
     from ..lightyear import check_global_no_transit, verify_invariants
     from ..lightyear.compose import IncrementalGlobalChecker
-    from ..symbolic.memo import cache_totals
+    from ..obs import counters_snapshot
+    from ..symbolic.memo import memo_totals
 
     if path not in PATHS:
         raise ValueError(f"unknown path {path!r} (known: {', '.join(PATHS)})")
@@ -154,7 +155,7 @@ def observe(scenario: FuzzScenario, path: str) -> dict:
         )
 
     observation = _observe(scenario, step)
-    observation["memo"] = list(cache_totals())
+    observation["memo"] = list(memo_totals(counters_snapshot()))
     return observation
 
 

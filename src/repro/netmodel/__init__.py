@@ -23,13 +23,7 @@ from .interfaces import Interface
 from .ip import AddressError, Ipv4Address, Prefix, PrefixRange
 from .ospf import OspfNetworkStatement, OspfProcess
 from .prefixlist import PrefixList, PrefixListEntry
-from .route import (
-    Origin,
-    Protocol,
-    Route,
-    reset_route_stats,
-    route_totals,
-)
+from .route import Origin, Protocol, Route
 from .routebuilder import RouteBuilder
 from .routing_policy import (
     Action,
@@ -108,6 +102,4 @@ __all__ = [
     "intern_communities",
     "path_through",
     "permit_all",
-    "reset_route_stats",
-    "route_totals",
 ]

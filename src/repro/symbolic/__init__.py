@@ -17,12 +17,7 @@ from .candidates import (
 )
 from .constraints import RouteConstraint
 from .diff import BehaviorDifference, DifferenceKind, compare_policies
-from .memo import (
-    MemoCache,
-    cache_stats,
-    cache_totals,
-    reset_caches,
-)
+from .memo import MemoCache, reset_caches
 from .search import PolicySearchResult, policy_always, search_route_policies
 
 __all__ = [
@@ -32,8 +27,6 @@ __all__ = [
     "MemoCache",
     "PolicySearchResult",
     "RouteConstraint",
-    "cache_stats",
-    "cache_totals",
     "canonical_route_map_key",
     "compare_policies",
     "mentioned_communities",

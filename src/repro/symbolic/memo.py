@@ -7,13 +7,15 @@ router's invariants after each correction round even though most drafts
 did not change.  The caches here let those repeated questions hit a
 dictionary instead of re-enumerating a candidate-route universe.
 
-Each cache is a :class:`MemoCache`: a FIFO-bounded mapping with hit/miss
-accounting, registered in a module-level registry so campaign tooling
-can report an aggregate hit rate (``cache_totals``) and tests can reset
-everything (``reset_caches``).  Memoization is always on: a cold run
-is one that starts after ``reset_caches()``, which is how callers that
-need the unmemoized answer (the fuzz reference, the cached-equals-
-uncached tests) get it.
+Each cache is a :class:`MemoCache`: a FIFO-bounded mapping whose hits
+and misses are :mod:`repro.obs` registry counters
+(``memo.<name>.hits``/``.misses``), so they travel in every registry
+snapshot and delta; :func:`memo_traffic` reads them back per cache from
+any such dict.  Every cache is also listed in a module-level registry
+so tests can reset everything (``reset_caches``).  Memoization is
+always on: a cold run is one that starts after ``reset_caches()``,
+which is how callers that need the unmemoized answer (the fuzz
+reference, the cached-equals-uncached tests) get it.
 
 Caches are process-local by design: campaign worker processes each grow
 their own, which keeps the engine fork-safe with zero coordination.
@@ -21,14 +23,14 @@ their own, which keeps the engine fork-safe with zero coordination.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Tuple
 
 from ..obs import counter
 
 __all__ = [
     "MemoCache",
-    "cache_stats",
-    "cache_totals",
+    "memo_totals",
+    "memo_traffic",
     "reset_caches",
 ]
 
@@ -94,25 +96,27 @@ def reset_caches() -> None:
         cache.clear()
 
 
-def cache_stats() -> Dict[str, Dict[str, int]]:
-    """Per-cache ``{name: {hits, misses, entries}}``."""
+def memo_traffic(metrics: Mapping[str, float]) -> Dict[str, Tuple[int, int]]:
+    """Per-cache ``{name: (hits, misses)}``, sorted by name, from a flat
+    registry dict (a snapshot, a delta, or a merge of deltas).
+
+    The one reader of the ``memo.<name>.hits``/``.misses`` naming.
+    """
+    caches: Dict[str, Dict[str, int]] = {}
+    for series, value in metrics.items():
+        if not series.startswith("memo."):
+            continue
+        if series.endswith(".hits"):
+            caches.setdefault(series[5:-5], {})["hits"] = int(value)
+        elif series.endswith(".misses"):
+            caches.setdefault(series[5:-7], {})["misses"] = int(value)
     return {
-        cache.name: {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "entries": len(cache),
-        }
-        for cache in _REGISTRY
+        name: (counts.get("hits", 0), counts.get("misses", 0))
+        for name, counts in sorted(caches.items())
     }
 
 
-def cache_totals() -> Tuple[int, int]:
-    """Aggregate ``(hits, misses)`` across every registered cache.
-
-    Same-named caches share one registry counter pair, so totals sum
-    over distinct names (summing instances would double-count).
-    """
-    by_name = {cache.name: cache for cache in _REGISTRY}
-    hits = sum(cache.hits for cache in by_name.values())
-    misses = sum(cache.misses for cache in by_name.values())
-    return hits, misses
+def memo_totals(metrics: Mapping[str, float]) -> Tuple[int, int]:
+    """``(hits, misses)`` summed over every cache in ``metrics``."""
+    traffic = memo_traffic(metrics).values()
+    return sum(hits for hits, _ in traffic), sum(misses for _, misses in traffic)

@@ -24,7 +24,8 @@ from repro.fuzz.oracle import canonical_ribs
 from repro.fuzz.reference import prefers, simulate
 from repro.netmodel import Prefix
 from repro.netmodel.aspath import AsPath
-from repro.netmodel.route import Route, reset_route_stats, route_totals
+from repro.netmodel.route import Route
+from repro.obs import counters_snapshot, delta
 from repro.topology.families import generate_network
 from repro.topology.reference import build_reference_configs
 
@@ -175,9 +176,9 @@ class TestReuseCounter:
         """A multi-round mesh fixpoint must count per-session candidate
         reuses — the counter that silently read 0 in every bench row."""
         configs = build_reference_configs(generate_network("mesh", 6).topology)
-        reset_route_stats()
+        before = counters_snapshot()
         sim = BgpSimulation(configs)
         sim.run()
-        totals = route_totals()
-        assert totals["routes_reused"] > 0
-        assert totals["routes_built"] > 0
+        moved = delta(before, counters_snapshot())
+        assert moved.get("route.routes_reused", 0) > 0
+        assert moved.get("route.routes_built", 0) > 0

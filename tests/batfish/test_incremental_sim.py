@@ -16,9 +16,7 @@ import pytest
 from repro.batfish.bgpsim import (
     BgpSimulation,
     SimulationState,
-    reset_sim_stats,
     rib_snapshots,
-    sim_totals,
 )
 from repro.lightyear.compose import (
     IncrementalGlobalChecker,
@@ -33,6 +31,7 @@ from repro.netmodel.routing_policy import (
     RouteMapClause,
     SetCommunity,
 )
+from repro.obs import counters_snapshot, delta
 from repro.topology.families import FAMILIES, generate_network
 from repro.topology.reference import build_reference_configs
 
@@ -325,14 +324,14 @@ class TestSimulationState:
             SimulationState().simulation
 
     def test_stats_accounting(self):
-        reset_sim_stats()
         _topology, configs = _network("star")
+        before = counters_snapshot()
         state = SimulationState(copy.deepcopy(configs))
         state.resimulate(copy.deepcopy(configs), set())
-        totals = sim_totals()
-        assert totals["full_runs"] == 1
-        assert totals["incremental_runs"] == 1
-        assert totals["full_evaluations"] > 0
+        moved = delta(before, counters_snapshot())
+        assert moved["sim.full_converge.count"] == 1
+        assert moved["sim.incremental_converge.count"] == 1
+        assert moved["sim.full_evaluations"] > 0
 
 
 class TestExplicitDeltas:

@@ -19,7 +19,7 @@ import pytest
 from repro.batfish.bgpsim import BgpSimulation
 from repro.fuzz.oracle import canonical_ribs
 from repro.fuzz.reference import simulate
-from repro.netmodel.route import reset_route_stats, route_totals
+from repro.obs import counters_snapshot, delta
 from repro.topology.families import generate_network
 from repro.topology.reference import build_reference_configs
 
@@ -51,14 +51,15 @@ def test_full_converge_within_ceilings(cell):
         network = generate_network(family, size, seed=1, roles=roles)
     configs = build_reference_configs(network.topology)
 
-    reset_route_stats()
+    before = counters_snapshot()
     simulation = BgpSimulation(configs)
     simulation.run()
-    totals = route_totals()
+    moved = delta(before, counters_snapshot())
 
     production = {name: simulation.rib(name) for name in configs}
     assert canonical_ribs(production) == canonical_ribs(simulate(configs))
     max_evaluations, max_built = CEILINGS[cell]
     assert simulation.evaluations <= max_evaluations, simulation.evaluations
-    assert totals["routes_built"] <= max_built, totals["routes_built"]
-    assert totals["routes_reused"] > 0
+    built = moved.get("route.routes_built", 0)
+    assert built <= max_built, built
+    assert moved.get("route.routes_reused", 0) > 0

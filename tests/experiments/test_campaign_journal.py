@@ -11,17 +11,20 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 
 from repro.experiments.campaign import (
     CompletedScenario,
+    JOURNAL_VERSION,
     build_grid,
     execute_scenario,
     fold_journal,
     run_campaign,
     Scenario,
 )
+from repro.symbolic.memo import memo_totals
 
 GRID_ARGS = dict(families=["chain", "star"], sizes=[4], seeds=2)
 
@@ -66,19 +69,40 @@ class TestJournal:
     def test_fold_missing_file_is_empty(self, tmp_path):
         assert fold_journal(tmp_path / "nope.jsonl") == {}
 
-    def test_fold_tolerates_non_numeric_cache_fields(self, tmp_path):
+    def test_fold_tolerates_non_numeric_metrics(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"
         run_campaign(_grid(), workers=1, journal_path=journal)
         lines = journal.read_text().splitlines()
-        record = json.loads(lines[-1])
-        record["cache_hits"] = None
-        record["cache_misses"] = "garbage"
+        first, last = json.loads(lines[1]), json.loads(lines[-1])
+        first["metrics"] = "garbage"
+        last["metrics"] = {
+            "route.routes_built": 7,
+            "phase.scenario.total_s": 0.5,
+            "memo.universe-policy.hits": None,
+            "memo.universe-policy.misses": "garbage",
+            "sim.full_converge.count": {"nested": 1},
+        }
         with journal.open("a") as handle:
-            handle.write(json.dumps(record) + "\n")
+            for record in (first, last):
+                handle.write(json.dumps(record) + "\n")
         folded = fold_journal(journal)
-        # null coerces to 0; the unparseable record is skipped, keeping
-        # the earlier good record for that key.
-        assert folded[record["key"]].row.family == record["row"]["family"]
+        # The records still fold (latest wins), keeping only the
+        # numeric series; a non-dict metrics payload folds as empty.
+        assert folded[first["key"]].metrics == {}
+        assert folded[last["key"]].metrics == {
+            "route.routes_built": 7,
+            "phase.scenario.total_s": 0.5,
+        }
+        for record in (first, last):
+            assert folded[record["key"]].row.family == record["row"]["family"]
+
+    def test_records_carry_no_named_counters(self, tmp_path):
+        journal = tmp_path / "campaign.jsonl"
+        run_campaign(_grid(), workers=1, journal_path=journal)
+        header, *records = map(json.loads, journal.read_text().splitlines())
+        assert header["version"] == JOURNAL_VERSION == 8
+        for record in records:
+            assert set(record) == {"kind", "key", "row", "metrics"}
 
     def test_resume_requires_journal(self):
         with pytest.raises(ValueError, match="journal_path"):
@@ -273,12 +297,17 @@ class TestExecuteScenario:
         assert isinstance(record, CompletedScenario)
         assert record.key == scenario.key()
         assert record.row.verified
-        assert record.cache_hits >= 0 and record.cache_misses >= 0
+        assert [spec.name for spec in fields(CompletedScenario)] == [
+            "key", "row", "metrics", "spans",
+        ]
+        hits, misses = memo_totals(record.metrics)
+        assert hits + misses > 0
 
     def test_summary_aggregates_cache_traffic(self, tmp_path):
         summary = run_campaign(_grid(), workers=1)
-        assert summary.cache_hits + summary.cache_misses > 0
-        assert summary.cache_hit_rate is not None
+        hits, misses = memo_totals(summary.metrics)
+        assert hits + misses > 0
+        assert summary.cache_hit_rate == hits / (hits + misses)
         assert 0.0 <= summary.cache_hit_rate <= 1.0
 
 

@@ -18,6 +18,7 @@ from repro.experiments.campaign import (
     summary_from_journal,
     summary_from_journals,
 )
+from repro.symbolic.memo import memo_totals
 
 GRID_ARGS = dict(families=["chain", "star"], sizes=[4], seeds=2)
 
@@ -60,13 +61,56 @@ class TestSummaryFromJournal:
     def test_carries_cache_and_sim_accounting(self, live):
         journal, _artifacts_, summary = live
         report = summary_from_journal(journal)
-        assert (report.cache_hits, report.cache_misses) == (
-            summary.cache_hits, summary.cache_misses,
-        )
-        assert report.sim_full_runs == summary.sim_full_runs
-        assert report.sim_incremental_runs == summary.sim_incremental_runs
+        assert report.metrics == summary.metrics
+        assert report.cache_breakdown() == summary.cache_breakdown()
+        assert report.cache_hit_rate == summary.cache_hit_rate
+        assert report.sim_speedup == summary.sim_speedup
         assert report.resumed == len(report.rows)
         assert report.workers == 0  # nothing executed
+
+    def test_v5_and_v7_journals_fold(self, live, tmp_path):
+        """Older journals carried eight named counters per record; a v7
+        record also carries ``metrics`` (so its report loses nothing),
+        a v5 record does not (rows intact, no accounting lines)."""
+        source, artifacts, _summary = live
+        current = summary_from_journal(source)
+        header, *records = map(json.loads, source.read_text().splitlines())
+        for version in (5, 7):
+            lines = [json.dumps(dict(header, version=version))]
+            for record in records:
+                metrics = record["metrics"]
+                hits, misses = memo_totals(metrics)
+                legacy = dict(
+                    record,
+                    cache_hits=hits,
+                    cache_misses=misses,
+                    sim_full_runs=metrics.get("sim.full_converge.count", 0),
+                    sim_incremental_runs=metrics.get(
+                        "sim.incremental_converge.count", 0
+                    ),
+                    sim_full_evals=metrics.get("sim.full_evaluations", 0),
+                    sim_incremental_evals=metrics.get(
+                        "sim.incremental_evaluations", 0
+                    ),
+                    routes_built=metrics.get("route.routes_built", 0),
+                    routes_reused=metrics.get("route.routes_reused", 0),
+                )
+                if version < 6:
+                    del legacy["metrics"]
+                lines.append(json.dumps(legacy))
+            journal = tmp_path / f"v{version}.jsonl"
+            journal.write_text("\n".join(lines) + "\n")
+            report = summary_from_journal(journal)
+            assert report.rows == current.rows
+            assert _artifacts(report, tmp_path, f"v{version}") == artifacts
+            if version == 7:
+                assert report.render() == current.render()
+                assert "symbolic cache:" in report.render()
+                assert "bgp simulation:" in report.render()
+            else:
+                assert report.metrics == {}
+                assert "symbolic cache:" not in report.render()
+                assert "bgp simulation:" not in report.render()
 
     def test_partial_journal_reports_incomplete(self, tmp_path):
         journal = tmp_path / "partial.jsonl"

@@ -104,7 +104,11 @@ class TestCli:
         from repro.cli import main
 
         assert main(["sweep", "--seeds", "2"]) == 0
-        assert "mean" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "mean" in out
+        assert [line[:7] for line in out.splitlines() if "a/" in line] == [
+            "seed=0:", "seed=1:",
+        ]
 
     def test_unknown_command_rejected(self):
         from repro.cli import main

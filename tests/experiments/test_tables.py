@@ -1,6 +1,10 @@
 """Tests for the table renderers and sample-prompt harvesting."""
 
+import functools
+import sys
+
 from repro.cli import main
+from repro.experiments.no_transit import run_no_transit_experiment
 from repro.experiments.prompts import (
     all_stage_prompts,
     sample_synthesis_prompts,
@@ -14,6 +18,7 @@ from repro.experiments.tables import (
     render_table2,
     render_table3,
 )
+from repro.experiments.translation import run_translation_experiment
 
 
 class TestSamplePrompts:
@@ -84,11 +89,34 @@ SECTION_HEADERS = [
 ]
 
 
-def test_tables_command_prints_every_artifact(capsys):
+def _count_experiment_runs(monkeypatch):
+    """Route every reference to the two experiment functions through a
+    counting wrapper; returns the list each real run appends to."""
+    runs = []
+    for original in (run_translation_experiment, run_no_transit_experiment):
+
+        @functools.wraps(original)
+        def counted(*args, _original=original, **kwargs):
+            runs.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if not getattr(module, "__name__", "").startswith("repro."):
+                continue
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counted)
+    return runs
+
+
+def test_tables_command_prints_every_artifact(capsys, monkeypatch):
     """``repro tables`` at seed 0: every section in order, the paper's
-    headline numbers pinned exactly."""
+    headline numbers pinned exactly, each distinct experiment run once
+    (6 translation, 12 no-transit)."""
+    runs = _count_experiment_runs(monkeypatch)
     assert main(["tables"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert len(runs) == 18
+    assert runs.count("run_translation_experiment") == 6
 
     starts = [
         next(i for i, line in enumerate(lines) if line.startswith(header))
@@ -128,3 +156,22 @@ def test_tables_command_prints_every_artifact(capsys):
     assert (
         "seed=0: translation 19a/2h =  9.5X | synthesis 14a/2h =  7.0X"
     ) in lines
+
+
+def test_run_once_shares_only_inside_a_scope():
+    from repro.experiments.runs import run_once, shared_runs
+
+    calls = []
+
+    def experiment(seed=0, profile=None):
+        calls.append((seed, profile))
+        return object()
+
+    assert run_once(experiment, seed=0) is not run_once(experiment, seed=0)
+    with shared_runs():
+        first = run_once(experiment, seed=0)
+        assert run_once(experiment, seed=0, profile=None) is first
+        assert run_once(experiment) is first
+        assert run_once(experiment, seed=1) is not first
+    assert run_once(experiment, seed=0) is not first
+    assert len(calls) == 5

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.batfish.bgpsim import reset_sim_stats, sim_totals
 from repro.fuzz.oracle import PATHS, observe
 from repro.lightyear.compose import IncrementalGlobalChecker
 from repro.fuzz.scenarios import FuzzEdit, FuzzScenario, scenario_at
+from repro.obs import counters_snapshot, delta
 
 
 class TestScenarioAt:
@@ -70,9 +70,11 @@ class TestPaths:
         )
         incremental_runs = {}
         for path in PATHS:
-            reset_sim_stats()
+            before = counters_snapshot()
             observe(scenario, path)
-            incremental_runs[path] = sim_totals()["incremental_runs"]
+            incremental_runs[path] = delta(before, counters_snapshot()).get(
+                "sim.incremental_converge.count", 0
+            )
         assert incremental_runs["full"] == 0
         assert incremental_runs["incremental"] > 0
         assert len(checkers["full"]) == 3

@@ -12,14 +12,14 @@ from repro.lightyear.verifier import _VERDICT_CACHE
 from repro.llm import synthesis_fault_catalog, fault_designations
 from repro.llm.faults import DraftState
 from repro.cisco import generate_cisco, parse_cisco
+from repro.obs import counters_snapshot
 from repro.symbolic import (
     CandidateUniverse,
-    cache_stats,
-    cache_totals,
     canonical_route_map_key,
     reset_caches,
 )
 from repro.symbolic.candidates import _POLICY_CACHE, _ROUTES_CACHE
+from repro.symbolic.memo import memo_totals, memo_traffic
 from repro.topology.families import generate_network
 from repro.topology.reference import build_reference_configs
 
@@ -94,20 +94,36 @@ class TestAccounting:
         assert _VERDICT_CACHE.misses == misses_after_first
         assert _VERDICT_CACHE.hits >= len(invariants)
 
-    def test_cache_stats_reports_registered_caches(self):
-        stats = cache_stats()
+    def test_memo_traffic_reports_registered_caches(self):
+        traffic = memo_traffic(counters_snapshot())
         assert {"universe-policy", "universe-routes", "invariant-verdict"} <= (
-            set(stats)
+            set(traffic)
         )
-        for entry in stats.values():
-            assert {"hits", "misses", "entries"} <= set(entry)
+        assert list(traffic) == sorted(traffic)
 
-    def test_cache_totals_sums_hits_and_misses(self):
+    def test_memo_traffic_reads_the_cache_counters(self):
         config, route_map = _policy()
         CandidateUniverse.for_policy(config, route_map)
         CandidateUniverse.for_policy(config, route_map)
-        hits, misses = cache_totals()
+        traffic = memo_traffic(counters_snapshot())
+        assert traffic["universe-policy"] == (
+            _POLICY_CACHE.hits, _POLICY_CACHE.misses
+        )
+        hits, misses = memo_totals(counters_snapshot())
         assert hits >= 1 and misses >= 1
+        assert (hits, misses) == tuple(map(sum, zip(*traffic.values())))
+
+    def test_memo_traffic_ignores_other_series(self):
+        metrics = {
+            "memo.a.hits": 3,
+            "memo.a.misses": 1,
+            "memo.b.misses": 2,
+            "route.routes_built": 9,
+            "phase.memo.count": 4,
+        }
+        assert memo_traffic(metrics) == {"a": (3, 1), "b": (0, 2)}
+        assert memo_totals(metrics) == (3, 3)
+        assert memo_totals({}) == (0, 0)
 
 
 def _verify_cold(configs, invariants):
